@@ -1133,17 +1133,17 @@ fn audit_loop(
                 max_lag = max_lag.max(lag);
                 lag_sum_ns += lag.as_nanos();
                 records += 1;
-                let before = audit.counts().duplicate_ids;
-                for (lo, hi) in segments {
-                    audit.record_clipped(owner, lo, hi);
-                }
+                // The batch's delta is the sum of what each record returns;
+                // folding every stripe's counters costs O(stripes) a message.
+                let dups: u128 = segments
+                    .into_iter()
+                    .map(|(lo, hi)| audit.record_clipped(owner, lo, hi))
+                    .sum();
                 obs.records.inc();
-                let dups = audit.counts().duplicate_ids;
-                if dups != before {
+                if dups != 0 {
                     // The gauge is a cross-thread sum of each thread's
                     // stripe-subset total; move it by this batch's delta.
-                    obs.duplicate_ids
-                        .add((dups - before).min(i64::MAX as u128) as i64);
+                    obs.duplicate_ids.add(dups.min(i64::MAX as u128) as i64);
                     obs.trace.record(
                         corr,
                         owner,

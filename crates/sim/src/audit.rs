@@ -3,48 +3,94 @@
 //! The service layer issues IDs as bulk leases — arcs, not scalars — so
 //! auditing them with the per-ID [`OnlineDetector`] would undo the whole
 //! point of batching (a 2²⁰-ID lease would cost 2²⁰ map insertions).
-//! [`LeaseAudit`] keeps the audit symbolic: every recorded lease arc is
-//! intersected against the material already issued to *other* owners and
-//! folded into per-owner interval sets, so a lease costs `O(arcs · log
-//! segments)` regardless of how many IDs it covers — the same interval
-//! discipline that makes the oblivious game simulable at `d ≈ 2⁴⁰`.
+//! [`LeaseAudit`] keeps the audit symbolic: the universe is covered by
+//! disjoint **owner-tagged pieces**, each a maximal range `[lo, hi)`
+//! whose IDs were all issued to the same set of owners. The pieces live
+//! in an ordered map keyed by `lo`, and a piece's owner set is one inline
+//! owner key until the audit actually finds a duplicate there.
+//!
+//! Recording a segment for `owner` costs `O((k + 1) · log s)` for `s`
+//! pieces, of which the segment touches `k`, regardless of how many IDs it
+//! covers. A segment that touches no piece — the only case when leases
+//! never collide — is one map insertion, coalesced with an adjacent piece
+//! of the same owner, so a Cluster★ tenant's consecutive leases stay one
+//! piece. Otherwise the touched pieces are re-cut at the segment's ends;
+//! each overlapped part whose owners lack `owner` pays its length and
+//! gains `owner`, and each gap becomes a piece of `owner` alone.
 //!
 //! The universe is partitioned into equal contiguous **stripes**
-//! ([`AuditStripe`]), each with its own segment sets; arcs are split at
+//! ([`AuditStripe`]), each with its own piece map; arcs are split at
 //! stripe boundaries on the way in. Striping bounds per-record work,
-//! keeps each stripe's sets small, and gives a service audit pipeline a
+//! keeps each stripe's map small, and gives a service audit pipeline a
 //! natural unit to distribute over threads.
 //!
-//! The headline counter, [`duplicate_ids`](LeaseAudit::duplicate_ids),
+//! The headline counter, [`duplicate_ids`](AuditCounts::duplicate_ids),
 //! is **order-invariant**: for every ID `x` issued by `k ≥ 1` distinct
 //! owners it counts exactly `k − 1`, no matter how the recording of
-//! leases from concurrent shards interleaves. (Proof sketch: an owner's
-//! own arcs never overlap, so the first time each owner covers `x` it
-//! pays 1 if and only if some *other* owner already covered `x`; over all
-//! owners of `x` exactly the non-first ones pay.) This is what lets a
-//! multi-shard service assert bit-identical audit totals for every
-//! worker-thread count. [`flagged_records`](LeaseAudit::flagged_records)
-//! is an arrival-order diagnostic and is *not* interleaving-invariant.
+//! leases from concurrent shards interleaves. (Proof sketch: the piece
+//! holding `x` carries exactly the owners that covered `x` so far, so the
+//! first time each owner covers `x` it pays 1 if and only if some *other*
+//! owner already covered `x`, and re-covering `x` pays nothing; over all
+//! owners of `x` exactly the non-first ones pay.) How pieces are cut and
+//! coalesced never changes which owners hold an ID, so the counters do
+//! not depend on it. This is what lets a multi-shard service assert
+//! bit-identical audit totals for every worker-thread count.
+//! [`flagged_records`](AuditCounts::flagged_records) is an arrival-order
+//! diagnostic and is *not* interleaving-invariant.
 //!
 //! [`OnlineDetector`]: crate::collision::OnlineDetector
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use uuidp_core::id::{Id, IdSpace};
-use uuidp_core::interval::{Arc, IntervalSet};
+use uuidp_core::interval::Arc;
+
+/// The owners that were issued every ID of one piece.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Owners {
+    /// The common case: one owner, stored inline.
+    One(u64),
+    /// Two or more owners, sorted: the piece holds duplicates.
+    Many(Box<[u64]>),
+}
+
+impl Owners {
+    fn contains(&self, owner: u64) -> bool {
+        match self {
+            Owners::One(o) => *o == owner,
+            Owners::Many(os) => os.binary_search(&owner).is_ok(),
+        }
+    }
+
+    /// `self ∪ {owner}` for an `owner` not already in `self`.
+    fn with(&self, owner: u64) -> Owners {
+        let mut os = match self {
+            Owners::One(o) => vec![*o],
+            Owners::Many(os) => os.to_vec(),
+        };
+        let at = os.partition_point(|&o| o < owner);
+        os.insert(at, owner);
+        Owners::Many(os.into_boxed_slice())
+    }
+}
+
+/// A maximal range `[lo, hi)` (keyed by `lo` in its map) issued to
+/// exactly `owners`.
+#[derive(Debug)]
+struct Piece {
+    hi: u128,
+    owners: Owners,
+}
 
 /// One stripe of the sharded audit: the sub-universe `[lo, hi)` with its
-/// own per-owner interval sets and counters.
+/// own owner-tagged piece map and counters.
 #[derive(Debug)]
 pub struct AuditStripe {
-    space: IdSpace,
     lo: u128,
     hi: u128,
-    /// Union of every segment recorded in this stripe, all owners.
-    global: IntervalSet,
-    /// Per-owner segment sets (owner keys are caller-defined, e.g.
-    /// `tenant` or `tenant + epoch` for restart-aware auditing).
-    owners: HashMap<u64, IntervalSet>,
+    /// Disjoint pieces keyed by their `lo`. Adjacent pieces never carry
+    /// equal owner sets: they are coalesced on insertion.
+    pieces: BTreeMap<u128, Piece>,
     duplicate_ids: u128,
     flagged_records: u64,
     recorded_ids: u128,
@@ -52,13 +98,11 @@ pub struct AuditStripe {
 }
 
 impl AuditStripe {
-    fn new(space: IdSpace, lo: u128, hi: u128) -> Self {
+    fn new(lo: u128, hi: u128) -> Self {
         AuditStripe {
-            space,
             lo,
             hi,
-            global: IntervalSet::new(space),
-            owners: HashMap::new(),
+            pieces: BTreeMap::new(),
             duplicate_ids: 0,
             flagged_records: 0,
             recorded_ids: 0,
@@ -71,6 +115,12 @@ impl AuditStripe {
         (self.lo, self.hi)
     }
 
+    /// Number of owner-tagged pieces held (a memory diagnostic, like
+    /// [`IntervalSet::segment_count`](uuidp_core::interval::IntervalSet::segment_count)).
+    pub fn piece_count(&self) -> usize {
+        self.pieces.len()
+    }
+
     /// Records the non-wrapping segment `[lo, hi)` (already clipped to
     /// this stripe) for `owner`; returns how many of its IDs were
     /// already held by a different owner.
@@ -79,19 +129,90 @@ impl AuditStripe {
             lo >= self.lo && hi <= self.hi && lo < hi,
             "unclipped segment"
         );
-        let arc = Arc::new(self.space, Id(lo), hi - lo);
-        let own = self
-            .owners
-            .entry(owner)
-            .or_insert_with(|| IntervalSet::new(self.space));
-        let cross = self.global.intersection_measure(arc) - own.intersection_measure(arc);
-        own.insert(arc);
-        self.global.insert(arc);
+        let cross = self.cover(owner, lo, hi);
         self.duplicate_ids += cross;
         self.flagged_records += (cross > 0) as u64;
         self.recorded_ids += hi - lo;
         self.recorded_arcs += 1;
         cross
+    }
+
+    /// Adds `owner` to every ID of `[lo, hi)`; returns how many of them
+    /// were held by other owners and not yet by `owner`.
+    fn cover(&mut self, owner: u64, lo: u128, hi: u128) -> u128 {
+        // Only the last piece starting below `hi` can reach into the
+        // segment without starting inside it; when it doesn't, nothing
+        // does and the segment lands in a gap, the case without
+        // collisions.
+        match self.pieces.range_mut(..hi).next_back() {
+            Some((_, last)) if last.hi > lo => return self.recut(owner, lo, hi),
+            Some((_, left)) if left.hi == lo && left.owners == Owners::One(owner) => left.hi = hi,
+            _ => {
+                let owners = Owners::One(owner);
+                self.pieces.insert(lo, Piece { hi, owners });
+            }
+        }
+        self.coalesce_at(hi);
+        0
+    }
+
+    /// [`cover`](Self::cover) for a segment that overlaps at least one
+    /// piece: re-cuts the touched pieces at its ends.
+    fn recut(&mut self, owner: u64, lo: u128, hi: u128) -> u128 {
+        // The touched pieces: the one straddling `lo`, if any, and every
+        // piece starting inside `[lo, hi)`.
+        let first = match self.pieces.range(..lo).next_back() {
+            Some((&start, piece)) if piece.hi > lo => start,
+            _ => lo,
+        };
+        let touched: Vec<u128> = self.pieces.range(first..hi).map(|(&k, _)| k).collect();
+        let mut cross = 0;
+        let mut cursor = lo;
+        for start in touched {
+            let piece = self.pieces.remove(&start).expect("touched key is present");
+            if start < lo {
+                self.put(start, lo, piece.owners.clone());
+            }
+            if cursor < start {
+                self.put(cursor, start, Owners::One(owner));
+            }
+            let (a, b) = (start.max(lo), piece.hi.min(hi));
+            if piece.owners.contains(owner) {
+                self.put(a, b, piece.owners.clone());
+            } else {
+                cross += b - a;
+                self.put(a, b, piece.owners.with(owner));
+            }
+            if piece.hi > hi {
+                self.put(hi, piece.hi, piece.owners);
+            }
+            cursor = piece.hi;
+        }
+        if cursor < hi {
+            self.put(cursor, hi, Owners::One(owner));
+        }
+        self.coalesce_at(cursor.max(hi));
+        cross
+    }
+
+    /// Inserts the piece `[lo, hi)` into free space, merging it into its
+    /// left neighbour when that one ends at `lo` with equal owners.
+    fn put(&mut self, lo: u128, hi: u128, owners: Owners) {
+        if let Some((_, left)) = self.pieces.range_mut(..lo).next_back() {
+            if left.hi == lo && left.owners == owners {
+                left.hi = hi;
+                return;
+            }
+        }
+        self.pieces.insert(lo, Piece { hi, owners });
+    }
+
+    /// Merges the piece starting at `at`, if any, into its left neighbour
+    /// when the two touch and carry equal owners.
+    fn coalesce_at(&mut self, at: u128) {
+        if let Some(right) = self.pieces.remove(&at) {
+            self.put(at, right.hi, right.owners);
+        }
     }
 
     /// IDs in this stripe issued to more than one owner (counted with
@@ -228,7 +349,7 @@ impl LeaseAudit {
         let stripes = (0..plan.stripe_count())
             .map(|i| {
                 let (lo, hi) = plan.stripe_range(i);
-                AuditStripe::new(space, lo, hi)
+                AuditStripe::new(lo, hi)
             })
             .collect();
         LeaseAudit { plan, stripes }
@@ -262,8 +383,8 @@ impl LeaseAudit {
     pub fn record(&mut self, owner: u64, arc: Arc) -> u128 {
         let plan = self.plan;
         let mut cross = 0;
-        plan.split(arc, &mut |_, lo, hi| {
-            cross += self.record_range(owner, lo, hi);
+        plan.split(arc, &mut |idx, lo, hi| {
+            cross += self.stripes[idx].record_segment(owner, lo, hi);
         });
         cross
     }
@@ -278,19 +399,11 @@ impl LeaseAudit {
     /// [`record`]: LeaseAudit::record
     pub fn record_clipped(&mut self, owner: u64, lo: u128, hi: u128) -> u128 {
         debug_assert!(lo < hi && hi <= self.plan.space.size(), "bad range");
-        self.record_range(owner, lo, hi)
-    }
-
-    /// Records a non-wrapping range `[lo, hi)`, splitting it at stripe
-    /// boundaries.
-    fn record_range(&mut self, owner: u64, mut lo: u128, hi: u128) -> u128 {
+        let plan = self.plan;
         let mut cross = 0;
-        while lo < hi {
-            let idx = self.stripe_of(Id(lo));
-            let stripe_hi = self.stripes[idx].hi.min(hi);
-            cross += self.stripes[idx].record_segment(owner, lo, stripe_hi);
-            lo = stripe_hi;
-        }
+        plan.split_range(lo, hi, &mut |idx, lo, hi| {
+            cross += self.stripes[idx].record_segment(owner, lo, hi);
+        });
         cross
     }
 
@@ -512,5 +625,123 @@ mod tests {
         }
         assert!(audit.collided());
         assert_eq!(audit.counts().duplicate_ids, 4096);
+    }
+
+    /// The per-ID oracle: the exact owner set of every ID issued so far.
+    /// It cuts each arc at the universe end and at stripe boundaries the
+    /// way [`StripePlan`] is specified to, without calling it, so the
+    /// segment-level counters are checked as well.
+    struct Oracle {
+        m: u128,
+        stripe_len: u128,
+        holders: BTreeMap<u128, std::collections::BTreeSet<u64>>,
+        counts: AuditCounts,
+    }
+
+    impl Oracle {
+        fn new(m: u128, stripes: usize) -> Self {
+            let count = (stripes as u128).min(m);
+            Oracle {
+                m,
+                stripe_len: m.div_ceil(count),
+                holders: BTreeMap::new(),
+                counts: AuditCounts::default(),
+            }
+        }
+
+        fn record(&mut self, owner: u64, start: u128, len: u128) {
+            let ids: Vec<u128> = (0..len).map(|i| (start + i) % self.m).collect();
+            // A segment ends where the next ID wraps or enters a new stripe.
+            for seg in ids.chunk_by(|&a, &b| b == a + 1 && b % self.stripe_len != 0) {
+                let mut cross = 0;
+                for &x in seg {
+                    let owners = self.holders.entry(x).or_default();
+                    if owners.insert(owner) && owners.len() > 1 {
+                        cross += 1;
+                    }
+                }
+                self.counts.duplicate_ids += cross;
+                self.counts.flagged_records += (cross > 0) as u64;
+                self.counts.recorded_ids += seg.len() as u128;
+                self.counts.recorded_arcs += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn piece_map_matches_a_per_id_oracle() {
+        // Small universes and few owners force every re-cut the piece map
+        // has: wrapping arcs, same-owner re-coverage, and parts held by
+        // two or three owners at once. A power-of-two universe and one
+        // whose last stripe is short; owner keys at both ends of u64.
+        let owner_keys = [0u64, 1, 2, u64::MAX];
+        for (m, stripes) in [
+            (1u128 << 10, 1usize),
+            (1 << 10, 2),
+            (1000, 7),
+            (1 << 10, 64),
+        ] {
+            let space = IdSpace::new(m).unwrap();
+            let mut three_owner_ids = 0;
+            for seed in 0..20u64 {
+                let mut rng = Xoshiro256pp::new(seed * 64 + stripes as u64);
+                let mut audit = LeaseAudit::new(space, stripes);
+                let mut oracle = Oracle::new(m, stripes);
+                for _ in 0..60 {
+                    let owner = owner_keys[uniform_below(&mut rng, 4) as usize];
+                    // Mostly short arcs near a hot spot that straddles the
+                    // wrap point, with an occasional long one.
+                    let start = (m - 64 + uniform_below(&mut rng, 128)) % m;
+                    let len = match uniform_below(&mut rng, 8) {
+                        0 => 1 + uniform_below(&mut rng, m),
+                        _ => 1 + uniform_below(&mut rng, 48),
+                    };
+                    let before = oracle.counts.duplicate_ids;
+                    oracle.record(owner, start, len);
+                    let cross = audit.record(owner, arc(space, start, len));
+                    assert_eq!(cross, oracle.counts.duplicate_ids - before);
+                    assert_eq!(audit.counts(), oracle.counts, "m={m} stripes={stripes}");
+                }
+                three_owner_ids += oracle.holders.values().filter(|o| o.len() >= 3).count();
+            }
+            assert!(three_owner_ids > 0, "no three-owner overlap exercised");
+        }
+    }
+
+    #[test]
+    fn cluster_star_leases_stay_one_piece_per_run() {
+        // A router's global audits hold every lease of a run, so one
+        // owner's consecutive leases must coalesce instead of piling up.
+        let space = IdSpace::with_bits(64).unwrap();
+        for stripes in [1usize, 16] {
+            let mut audit = LeaseAudit::new(space, stripes);
+            let plan = audit.plan();
+            let mut generator = ClusterStar::new(space).spawn(5);
+            let mut lease = Lease::new(space);
+            let mut segments = Vec::new();
+            let leases = 256;
+            for _ in 0..leases {
+                lease.fill(generator.as_mut(), 1024).unwrap();
+                for &a in lease.arcs() {
+                    audit.record(7, a);
+                    plan.split(a, &mut |idx, lo, hi| segments.push((idx, lo, hi)));
+                }
+            }
+            // The expected pieces: the issued segments merged where they
+            // touch inside one stripe, which is one per open run.
+            segments.sort_unstable_by_key(|&(_, lo, _)| lo);
+            let mut runs: Vec<(usize, u128, u128)> = Vec::new();
+            for (idx, lo, hi) in segments {
+                match runs.last_mut() {
+                    Some(last) if last.0 == idx && last.2 == lo => last.2 = hi,
+                    _ => runs.push((idx, lo, hi)),
+                }
+            }
+            let pieces: usize = audit.stripes().iter().map(AuditStripe::piece_count).sum();
+            assert_eq!(pieces, runs.len());
+            // Doubling runs: 2¹⁸ IDs open about 19 of them.
+            assert!(pieces <= 2 * 20, "{pieces} pieces for {leases} leases");
+            assert_eq!(audit.counts().duplicate_ids, 0);
+        }
     }
 }
