@@ -304,7 +304,6 @@ pub fn serve(
             accept_v2: protocol != Some(ProtoVersion::V1),
             metrics: opts.metrics,
             backend,
-            ..ServerOptions::default()
         };
         let server = TcpServer::bind_with(addr, config, options)
             .map_err(|e| ParseError(format!("bind {addr}: {e}")))?;

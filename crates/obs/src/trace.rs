@@ -3,7 +3,7 @@
 //!
 //! Every layer stamps the stages it owns — client send, netchaos proxy
 //! connection, server demux, worker persist/emit, audit record, reply
-//! sent, client receive — and [`TraceRecorder::timeline`] reassembles
+//! queued and sent, client receive — and [`TraceRecorder::timeline`] reassembles
 //! one correlation id's events into a printable causal timeline.
 //! Recording is a shard lock (per-thread, so uncontended in steady
 //! state) and a ring write; details are `&'static str` so the hot path
@@ -33,7 +33,9 @@ pub enum Stage {
     WorkerEmit,
     /// Audit tap recorded the emission.
     AuditRecord,
-    /// Server wrote the reply frame.
+    /// Server queued the reply frame for the connection's writer.
+    ReplyQueued,
+    /// Server wrote the reply frame to the socket.
     ReplySent,
     /// Client matched the reply to its pending request.
     ClientRecv,
@@ -52,6 +54,7 @@ impl Stage {
             Stage::WorkerPersist => "worker-persist",
             Stage::WorkerEmit => "worker-emit",
             Stage::AuditRecord => "audit-record",
+            Stage::ReplyQueued => "reply-queued",
             Stage::ReplySent => "reply-sent",
             Stage::ClientRecv => "client-recv",
             Stage::Alert => "alert",

@@ -11,29 +11,36 @@
 //!                 │  sniff first byte: 0x00 ⇒ v2, else hand off to a
 //!                 │  v1 line-protocol handler thread
 //!                 │  complete frames, dispatched by kind:
-//!                 ├── lease/reset ──► worker pool (tenant-keyed queues)
+//!                 ├── lease/reset ──► the tenant's shard worker,
+//!                 │                   which queues the lease reply
+//!                 ├── metrics/timeline ──► rendered inline
 //!                 └── drain/summary/shutdown/halt ──► control thread
 //!                        reply frames are *queued* back to the reactor
 //!                        and flushed with vectored writes on write
 //!                        readiness, correlation ids intact
 //! ```
 //!
-//! The v2 accept path closes the ROADMAP's thread-per-connection item:
-//! however many v2 connections are open, the server runs one reactor
-//! thread plus a fixed pool of `v2_workers` execution threads. The
-//! reactor ([`crate::reactor`]) takes readiness from epoll on Linux
+//! However many v2 connections are open, the front-end adds two
+//! threads to the service's own: the reactor and the control thread.
+//! The reactor ([`crate::reactor`]) takes readiness from epoll on Linux
 //! (raw syscalls, see [`crate::sys`]) or from a portable poll rotation
 //! elsewhere — [`ServerOptions::backend`] picks, and an idle epoll
-//! server costs ~zero CPU regardless of connection count. Requests are
-//! routed to pool workers by `tenant % workers`, so each tenant's
-//! requests stay FIFO end to end (the determinism the differential
-//! tests pin), while different tenants' requests from one multiplexed
-//! connection are served concurrently. Drain/summary/shutdown run on a
-//! dedicated control thread that first barriers the pool — "everything
-//! submitted before me" keeps its v1 meaning. Workers never block on a
-//! slow peer: replies queue on the owning connection inside the
-//! reactor, and a peer that stops reading is eventually severed
-//! (backpressure by disconnect, not by stalling a shared thread).
+//! server costs ~zero CPU regardless of connection count. A lease goes
+//! from the reactor straight into its tenant's shard queue with a reply
+//! continuation, which the shard worker runs once the lease is served:
+//! it encodes the reply frame and queues it on the connection. Shard
+//! queues are FIFO and tenants are pinned to shards, so each tenant's
+//! requests stay ordered end to end (the determinism the differential
+//! tests pin), while tenants on different shards are served
+//! concurrently even from one multiplexed connection. Drain/summary/
+//! shutdown run on a dedicated control thread, behind the service's own
+//! shard barrier — "everything submitted before me" keeps its v1
+//! meaning. Nothing on the lease path waits on a slow peer: replies
+//! queue on the owning connection inside the reactor, and a peer that
+//! stops reading is eventually severed (backpressure by disconnect, not
+//! by stalling a shared thread). The reactor blocks only while a shard
+//! queue is full, and a shard worker never waits on the reactor, so
+//! that wait always ends.
 //!
 //! Shutdown is graceful and client-initiated in either protocol, and
 //! the numbers can never diverge: both the v1 `bye` line and the v2
@@ -44,7 +51,9 @@
 //! layer's `halt_after_persists` hook arrives here too: a lease reply
 //! flagged `halted` makes the server die *instead of replying* —
 //! a crash dropped exactly between the write-ahead persist and the
-//! reply, which no external kill can aim that precisely.
+//! reply, which no external kill can aim that precisely. The shard
+//! worker hands that crash through the reactor to the control thread:
+//! the crash shuts the service down, which joins the shard worker.
 //!
 //! [`RemoteClient`] is the v1 client half: newline-framed commands out,
 //! one reply line back per command. [`DialedClient`] wraps it together
@@ -82,9 +91,6 @@ pub struct ServerOptions {
     /// the listener is a legacy-only front-end: a v2 hello is answered
     /// with a fatal error frame.
     pub accept_v2: bool,
-    /// Execution threads in the shared v2 worker pool. Requests are
-    /// pinned to workers by `tenant % v2_workers`.
-    pub v2_workers: usize,
     /// Serve metric scrapes (the v1 `metrics` command and the v2
     /// metrics frame). Off, a scrape gets a typed error reply and the
     /// connection stays up — the registry still records either way,
@@ -99,7 +105,6 @@ impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
             accept_v2: true,
-            v2_workers: 4,
             metrics: true,
             backend: NetBackend::Auto,
         }
@@ -130,7 +135,7 @@ pub(crate) struct ServerState {
     /// counters is lock-free; only snapshot assembly walks the map).
     pub(crate) registry: Arc<Registry>,
     /// The service's trace recorder, for the front-end's own lifecycle
-    /// stamps (server-demux, reply-sent).
+    /// stamps (server-demux, reply-queued, reply-sent).
     pub(crate) trace: Arc<TraceRecorder>,
     /// Whether scrapes are served (see [`ServerOptions::metrics`]).
     pub(crate) metrics: bool,
@@ -203,6 +208,13 @@ impl ServerState {
         let _order = lockorder::track("server.conns");
         self.conns.lock().expect("conns lock").remove(&conn_id);
     }
+
+    /// Runs `f` on the service under its read guard; `None` once a stop
+    /// path has taken the service.
+    fn with_service<T>(&self, f: impl FnOnce(&IdService) -> T) -> Option<T> {
+        let _order = lockorder::track("server.service");
+        self.service.read().expect("service lock").as_ref().map(f)
+    }
 }
 
 /// Kills the server from inside: stop accepting, tear the service down
@@ -241,7 +253,6 @@ pub struct TcpServer {
     accept: JoinHandle<()>,
     reactor: JoinHandle<()>,
     control: JoinHandle<()>,
-    pool: Vec<JoinHandle<()>>,
     report_rx: Receiver<ServiceReport>,
     state: Arc<ServerState>,
 }
@@ -249,7 +260,7 @@ pub struct TcpServer {
 impl TcpServer {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port), boots
     /// the service, and starts accepting connections with default
-    /// [`ServerOptions`] (both protocols, a small v2 pool).
+    /// [`ServerOptions`] (both protocols, metrics on).
     pub fn bind(addr: &str, config: ServiceConfig) -> io::Result<TcpServer> {
         TcpServer::bind_with(addr, config, ServerOptions::default())
     }
@@ -286,27 +297,12 @@ impl TcpServer {
         });
         let (report_tx, report_rx) = sync_channel::<ServiceReport>(1);
 
-        // The shared v2 worker pool: tenant-keyed queues, fixed width.
-        let workers = options.v2_workers.max(1);
-        let mut pool_txs = Vec::with_capacity(workers);
-        let mut pool = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = sync_channel::<PoolJob>(1024);
-            pool_txs.push(tx);
-            let state = Arc::clone(&state);
-            pool.push(std::thread::spawn(move || {
-                pool_worker(state, rx, local_addr)
-            }));
-        }
         // The v2 control lane (drain / summary / shutdown / halt).
         let (ctrl_tx, ctrl_rx) = sync_channel::<CtrlJob>(64);
         let control = {
             let state = Arc::clone(&state);
-            let pool_txs = pool_txs.clone();
             let report_tx = report_tx.clone();
-            std::thread::spawn(move || {
-                control_worker(state, ctrl_rx, pool_txs, report_tx, local_addr)
-            })
+            std::thread::spawn(move || control_worker(state, ctrl_rx, report_tx, local_addr))
         };
         // The reactor: sniffs every new connection, owns all v2 I/O.
         let reactor = {
@@ -315,7 +311,6 @@ impl TcpServer {
                 poller,
                 cmd_rx,
                 handle: reactor_handle.clone(),
-                pool_txs,
                 ctrl_tx,
                 accept_v2: options.accept_v2,
                 report_tx: report_tx.clone(),
@@ -362,7 +357,6 @@ impl TcpServer {
             accept,
             reactor,
             control,
-            pool,
             report_rx,
             state,
         })
@@ -404,9 +398,6 @@ impl TcpServer {
         let _ = self.accept.join();
         let _ = self.reactor.join();
         let _ = self.control.join();
-        for handle in self.pool {
-            let _ = handle.join();
-        }
         self.report_rx
     }
 
@@ -451,34 +442,66 @@ impl TcpServer {
 }
 
 // ---------------------------------------------------------------------
-// The v2 serving machinery: demux + pool + control.
+// The v2 serving machinery: reactor dispatch, shard replies, control.
 // ---------------------------------------------------------------------
 
-/// The shared half of one v2 connection: its registry id and a handle
-/// to the reactor that owns the socket. A send *queues* the encoded
-/// frame on the connection's reply queue — it never touches the socket
-/// and never blocks, so a slow peer backpressures only its own queue
-/// (severed at the reactor's cap), not the pool worker that served it.
-/// The old implementation held a per-connection writer lock and
-/// spin/slept through `WouldBlock`, stalling a whole worker behind one
-/// unread socket.
+/// The shared half of one v2 connection: its registry id, a handle to
+/// the reactor that owns the socket, and the trace ring its lease
+/// replies are stamped into. A send *queues* the encoded frame on the
+/// connection's reply queue — it never touches the socket and never
+/// blocks, so a slow peer backpressures only its own queue (severed at
+/// the reactor's cap), not the shard worker that served it.
 pub(crate) struct V2Conn {
     conn_id: u64,
     reactor: ReactorHandle,
+    trace: Arc<TraceRecorder>,
 }
 
 impl V2Conn {
-    pub(crate) fn new(conn_id: u64, reactor: ReactorHandle) -> V2Conn {
-        V2Conn { conn_id, reactor }
+    pub(crate) fn new(conn_id: u64, reactor: ReactorHandle, trace: Arc<TraceRecorder>) -> V2Conn {
+        V2Conn {
+            conn_id,
+            reactor,
+            trace,
+        }
     }
 
     /// Queues one whole reply frame (flushed by the reactor on write
     /// readiness). Frames are queued whole, so replies from different
-    /// pool workers never interleave mid-frame. Errs only when the
-    /// reactor is already gone.
+    /// threads never interleave mid-frame. Errs only when the reactor
+    /// is already gone.
     pub(crate) fn send(&self, corr: u64, body: &FrameBody) -> io::Result<()> {
         self.reactor
-            .reply(self.conn_id, frame::encode_frame(corr, body), None)
+            .reply(self.conn_id, frame::encode_frame(corr, body), None, None)
+    }
+
+    /// Delivers a lease on the shard worker that served it: queues the
+    /// reply frame, stamping `reply-queued` before the enqueue (the
+    /// reactor stamps `reply-sent` once the write carrying the frame
+    /// completes, so both land before the client can read the reply).
+    ///
+    /// A lease that tripped the `halt_after_persists` hook gets no
+    /// reply: the reactor forwards a crash to the control lane instead.
+    /// The crash cannot run here, because it shuts the service down,
+    /// which joins this very worker; nor may the worker wait on the
+    /// bounded control lane, whose thread may be waiting on this
+    /// shard's barrier.
+    fn deliver_lease(&self, corr: u64, reply: &LeaseReply) {
+        if reply.halted {
+            self.reactor.halt(corr);
+            return;
+        }
+        let bytes = frame::encode_frame(corr, &lease_resp(reply));
+        self.trace.record(
+            corr,
+            reply.tenant,
+            Stage::ReplyQueued,
+            "lease-resp",
+            clock::monotonic_ns(),
+        );
+        let _ = self
+            .reactor
+            .reply(self.conn_id, bytes, Some((corr, reply.tenant)), None);
     }
 
     /// Like [`send`](V2Conn::send), but blocks (bounded by `timeout`)
@@ -493,8 +516,8 @@ impl V2Conn {
         timeout: Duration,
     ) -> io::Result<()> {
         let (done, rx) = sync_channel::<io::Result<()>>(1);
-        self.reactor
-            .reply(self.conn_id, frame::encode_frame(corr, body), Some(done))?;
+        let bytes = frame::encode_frame(corr, body);
+        self.reactor.reply(self.conn_id, bytes, None, Some(done))?;
         match rx.recv_timeout(timeout) {
             Ok(result) => result,
             Err(_) => Err(io::Error::new(
@@ -514,29 +537,14 @@ impl V2Conn {
     }
 }
 
-/// Work routed to the tenant-keyed pool.
-pub(crate) enum PoolJob {
-    Lease {
-        conn: Arc<V2Conn>,
-        corr: u64,
-        tenant: u64,
-        count: u128,
-    },
-    Reset {
-        conn: Arc<V2Conn>,
-        corr: u64,
-        tenant: u64,
-    },
-    /// Ack once every prior job on this worker is fully served.
-    Barrier { done: SyncSender<()> },
-}
-
-/// Work routed to the control lane.
+/// Work routed to the control lane. `Halt` crashes the node: its
+/// `focus_corr` is the lease whose reply the `halt_after_persists` hook
+/// cut off, or `None` for a remote halt frame.
 pub(crate) enum CtrlJob {
     Drain { conn: Arc<V2Conn>, corr: u64 },
     Summary { conn: Arc<V2Conn>, corr: u64 },
     Shutdown { conn: Arc<V2Conn>, corr: u64 },
-    Halt,
+    Halt { focus_corr: Option<u64> },
 }
 
 /// Arcs that fit one v2 lease-reply frame: the fixed fields plus 32
@@ -570,130 +578,39 @@ fn lease_resp(reply: &LeaseReply) -> FrameBody {
     }
 }
 
-/// One pool worker: executes tenant-keyed jobs against the shared
-/// service, writing each reply frame straight to its connection.
-fn pool_worker(state: Arc<ServerState>, rx: Receiver<PoolJob>, local_addr: SocketAddr) {
-    while let Ok(job) = rx.recv() {
-        match job {
-            PoolJob::Lease {
-                conn,
-                corr,
-                tenant,
-                count,
-            } => {
-                let reply = {
-                    let _order = lockorder::track("server.service");
-                    state
-                        .service
-                        .read()
-                        .expect("service lock")
-                        .as_ref()
-                        .map(|service| service.lease_traced(tenant, count, corr))
-                };
-                match reply {
-                    // The halt_after_persists hook fired: die between
-                    // the write-ahead persist and the reply — and leave
-                    // the flight dump focused on the lease that was cut
-                    // off mid-exchange.
-                    Some(reply) if reply.halted => {
-                        crash_server(&state, local_addr, "halt-after-persists", Some(corr))
-                    }
-                    Some(reply) => {
-                        let _ = conn.send(corr, &lease_resp(&reply));
-                        state.trace.record(
-                            corr,
-                            tenant,
-                            Stage::ReplySent,
-                            "lease-resp",
-                            clock::monotonic_ns(),
-                        );
-                    }
-                    None => conn.send_error(corr, "shutting down"),
-                }
-            }
-            PoolJob::Reset { conn, corr, tenant } => {
-                let served = {
-                    let _order = lockorder::track("server.service");
-                    let service = state.service.read().expect("service lock");
-                    service.as_ref().map(|s| s.reset_tenant(tenant)).is_some()
-                };
-                if served {
-                    let _ = conn.send(corr, &FrameBody::ResetResp { tenant });
-                } else {
-                    conn.send_error(corr, "shutting down");
-                }
-            }
-            PoolJob::Barrier { done } => {
-                let _ = done.send(());
-            }
-        }
-    }
-}
-
-/// Acks from every pool worker once all previously routed jobs are
-/// fully served (each worker replies before taking its next job).
-fn pool_barrier(pool_txs: &[SyncSender<PoolJob>]) {
-    let barriers: Vec<Receiver<()>> = pool_txs
-        .iter()
-        .map(|tx| {
-            let (done, rx) = sync_channel(1);
-            // A closed queue means the pool is already gone (server
-            // coming down); nothing left to wait for on that worker.
-            let _ = tx.send(PoolJob::Barrier { done });
-            rx
-        })
-        .collect();
-    for rx in barriers {
-        let _ = rx.recv();
-    }
-}
-
-/// The control lane: pool-barriered drain/summary, graceful shutdown,
-/// and the remote crash lever. One thread, so these serializing
-/// operations cannot deadlock each other on the pool barrier.
+/// The control lane: shard-barriered drain/summary, graceful shutdown,
+/// and the crash lever. One thread, so these serializing operations
+/// never run concurrently with each other.
 fn control_worker(
     state: Arc<ServerState>,
     rx: Receiver<CtrlJob>,
-    pool_txs: Vec<SyncSender<PoolJob>>,
     report_tx: SyncSender<ServiceReport>,
     local_addr: SocketAddr,
 ) {
     while let Ok(job) = rx.recv() {
         match job {
             CtrlJob::Drain { conn, corr } => {
-                // "Everything submitted before me": queued pool jobs
-                // first, then the service's own shard barrier.
-                pool_barrier(&pool_txs);
-                let drained = {
-                    let _order = lockorder::track("server.service");
-                    let service = state.service.read().expect("service lock");
-                    service.as_ref().map(|s| s.drain()).is_some()
-                };
-                if drained {
+                // "Everything submitted before me": every lease and
+                // reset dispatched earlier sits in a shard queue ahead
+                // of the service's shard barrier.
+                if state.with_service(IdService::drain).is_some() {
                     let _ = conn.send(corr, &FrameBody::DrainResp);
                 } else {
                     conn.send_error(corr, "shutting down");
                 }
             }
-            CtrlJob::Summary { conn, corr } => {
-                pool_barrier(&pool_txs);
-                let report = {
-                    let _order = lockorder::track("server.service");
-                    let service = state.service.read().expect("service lock");
-                    service.as_ref().map(|s| s.summary())
-                };
-                match report {
-                    Some(report) => {
-                        let _ = conn.send(corr, &FrameBody::SummaryResp(wire_summary(&report)));
-                    }
-                    None => conn.send_error(corr, "shutting down"),
+            CtrlJob::Summary { conn, corr } => match state.with_service(IdService::summary) {
+                Some(report) => {
+                    let _ = conn.send(corr, &FrameBody::SummaryResp(wire_summary(&report)));
                 }
-            }
+                None => conn.send_error(corr, "shutting down"),
+            },
             CtrlJob::Shutdown { conn, corr } => {
                 state.stopping.store(true, Ordering::SeqCst);
-                // Serve what the pool already holds, then take the
-                // service (the write lock waits out in-flight leases).
-                pool_barrier(&pool_txs);
+                // Take the service (the write lock waits out a reactor
+                // mid-dispatch); its shutdown serves every queued lease
+                // first, so those replies are queued ahead of the
+                // summary.
                 let service = {
                     let _order = lockorder::track("server.service");
                     state.service.write().expect("service lock").take()
@@ -719,8 +636,14 @@ fn control_worker(
                     None => conn.send_error(corr, "shutting down"),
                 }
             }
-            CtrlJob::Halt => {
-                crash_server(&state, local_addr, "halt", None);
+            CtrlJob::Halt { focus_corr } => {
+                // The halt hook leaves the flight dump focused on the
+                // lease that was cut off mid-exchange.
+                let reason = match focus_corr {
+                    Some(_) => "halt-after-persists",
+                    None => "halt",
+                };
+                crash_server(&state, local_addr, reason, focus_corr);
                 return;
             }
         }
@@ -754,7 +677,6 @@ pub(crate) fn dispatch_frame(
     hello_done: &mut bool,
     f: frame::Frame,
     state: &ServerState,
-    pool_txs: &[SyncSender<PoolJob>],
     ctrl_tx: &SyncSender<CtrlJob>,
 ) -> Disposition {
     if !*hello_done {
@@ -805,13 +727,15 @@ pub(crate) fn dispatch_frame(
                 "lease-req",
                 clock::monotonic_ns(),
             );
-            let worker = (tenant % pool_txs.len() as u64) as usize;
-            let _ = pool_txs[worker].send(PoolJob::Lease {
-                conn: Arc::clone(shared),
-                corr,
-                tenant,
-                count,
-            });
+            // Built before the service guard is taken: the guard covers
+            // only the enqueue, never the continuation's sends.
+            let conn = Arc::clone(shared);
+            let then = Box::new(move |reply: LeaseReply| conn.deliver_lease(corr, &reply));
+            match state.with_service(|s| s.lease_then(tenant, count, corr, then)) {
+                Some(true) => {}
+                Some(false) => shared.send_error(corr, "shard worker is down"),
+                None => shared.send_error(corr, "shutting down"),
+            }
             Disposition::Keep
         }
         FrameBody::MetricsReq => {
@@ -840,12 +764,13 @@ pub(crate) fn dispatch_frame(
             Disposition::Keep
         }
         FrameBody::ResetReq { tenant } => {
-            let worker = (tenant % pool_txs.len() as u64) as usize;
-            let _ = pool_txs[worker].send(PoolJob::Reset {
-                conn: Arc::clone(shared),
-                corr,
-                tenant,
-            });
+            // The reset joins the tenant's shard queue behind its
+            // earlier leases; the ack only confirms it is queued.
+            if state.with_service(|s| s.reset_tenant(tenant)).is_some() {
+                let _ = shared.send(corr, &FrameBody::ResetResp { tenant });
+            } else {
+                shared.send_error(corr, "shutting down");
+            }
             Disposition::Keep
         }
         FrameBody::DrainReq => {
@@ -870,7 +795,7 @@ pub(crate) fn dispatch_frame(
             Disposition::Keep
         }
         FrameBody::HaltReq => {
-            let _ = ctrl_tx.send(CtrlJob::Halt);
+            let _ = ctrl_tx.send(CtrlJob::Halt { focus_corr: None });
             Disposition::Keep
         }
         other => sever_with(
@@ -922,16 +847,7 @@ fn run_connection<R: BufRead>(
             Ok(None) => continue,
             Ok(Some(Command::Quit)) => break,
             Ok(Some(Command::Lease { tenant, count })) => {
-                let reply = {
-                    let _order = lockorder::track("server.service");
-                    state
-                        .service
-                        .read()
-                        .expect("service lock")
-                        .as_ref()
-                        .map(|service| service.lease(tenant, count))
-                };
-                match reply {
+                match state.with_service(|s| s.lease(tenant, count)) {
                     // The halt_after_persists hook: die instead of
                     // replying (see the module docs).
                     Some(reply) if reply.halted => {
@@ -943,25 +859,15 @@ fn run_connection<R: BufRead>(
                 }
             }
             Ok(Some(Command::Reset { tenant })) => {
-                let _order = lockorder::track("server.service");
-                match state.service.read().expect("service lock").as_ref() {
-                    Some(service) => {
-                        service.reset_tenant(tenant);
-                        format!("reset tenant={tenant}")
-                    }
+                match state.with_service(|s| s.reset_tenant(tenant)) {
+                    Some(()) => format!("reset tenant={tenant}"),
                     None => "error: shutting down".into(),
                 }
             }
-            Ok(Some(Command::Drain)) => {
-                let _order = lockorder::track("server.service");
-                match state.service.read().expect("service lock").as_ref() {
-                    Some(service) => {
-                        service.drain();
-                        "drained".into()
-                    }
-                    None => "error: shutting down".into(),
-                }
-            }
+            Ok(Some(Command::Drain)) => match state.with_service(IdService::drain) {
+                Some(()) => "drained".into(),
+                None => "error: shutting down".into(),
+            },
             Ok(Some(Command::Metrics)) => {
                 if state.metrics {
                     // The one multi-line reply in the grammar: the
@@ -1277,6 +1183,7 @@ impl DialedClient {
 mod tests {
     use super::*;
     use uuidp_core::algorithms::AlgorithmKind;
+    use uuidp_core::rng::{SeedDomain, SeedTree};
 
     fn server(bits: u32) -> (TcpServer, IdSpace) {
         let space = IdSpace::with_bits(bits).unwrap();
@@ -1431,7 +1338,6 @@ mod tests {
         let config = ServiceConfig::new(AlgorithmKind::Cluster, space);
         let options = ServerOptions {
             accept_v2: false,
-            v2_workers: 2,
             ..ServerOptions::default()
         };
         let server = TcpServer::bind_with("127.0.0.1:0", config, options).unwrap();
@@ -1698,6 +1604,167 @@ mod tests {
         v1.quit().unwrap();
         client.shutdown().unwrap();
         server.join().unwrap();
+    }
+
+    /// The offset of `stage`'s first stamp in a rendered span timeline.
+    fn stage_offset_ns(span: &str, stage: &str) -> u64 {
+        span.lines()
+            .find_map(|line| {
+                let (at, rest) = line.trim_start().strip_prefix('+')?.split_once("ns")?;
+                (rest.split_whitespace().next() == Some(stage))
+                    .then(|| at.trim().parse().expect("span offset"))
+            })
+            .unwrap_or_else(|| panic!("no {stage} stamp in\n{span}"))
+    }
+
+    #[test]
+    fn lease_spans_stamp_reply_queued_no_later_than_reply_sent() {
+        // The shard worker stamps reply-queued before it enqueues the
+        // reply; the reactor stamps reply-sent after the write carrying
+        // the frame returns. Both precede the client's read.
+        let (server, space) = server(40);
+        let client = Client::connect(server.local_addr(), space).unwrap();
+        for tenant in 0..4u64 {
+            let (lease, corr) = client.lease_with_corr(tenant, 16).unwrap();
+            assert_eq!(lease.granted, 16);
+            let span = client.timeline(corr).unwrap();
+            let queued = stage_offset_ns(&span, "reply-queued");
+            let sent = stage_offset_ns(&span, "reply-sent");
+            assert!(queued <= sent, "reply sent before it was queued:\n{span}");
+            assert!(stage_offset_ns(&span, "worker-emit") <= queued, "{span}");
+        }
+        client.shutdown().unwrap();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn pipelined_frames_on_one_connection_keep_per_tenant_order() {
+        // Every request is written before any reply is read, so the
+        // reactor dispatches all five back to back. Only the tenant's
+        // FIFO shard queue orders lease → reset → lease, and only the
+        // shard barrier behind drain and summary makes them wait for
+        // both leases.
+        let space = IdSpace::with_bits(40).unwrap();
+        let config = ServiceConfig::new(AlgorithmKind::Cluster, space);
+        let master_seed = config.master_seed;
+        let server = TcpServer::bind("127.0.0.1:0", config).unwrap();
+        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        frame::write_frame(
+            &mut conn,
+            0,
+            &FrameBody::Hello {
+                version: frame::VERSION,
+                space: space.size(),
+            },
+        )
+        .unwrap();
+        let hello = frame::read_frame(&mut conn).unwrap();
+        assert!(matches!(hello.body, FrameBody::HelloOk { .. }), "{hello:?}");
+        let tenant = 3;
+        let requests = [
+            FrameBody::LeaseReq { tenant, count: 64 },
+            FrameBody::ResetReq { tenant },
+            FrameBody::LeaseReq { tenant, count: 64 },
+            FrameBody::DrainReq,
+            FrameBody::SummaryReq,
+        ];
+        for (corr, body) in (1u64..).zip(&requests) {
+            frame::write_frame(&mut conn, corr, body).unwrap();
+        }
+        let mut replies = HashMap::new();
+        for _ in 0..requests.len() {
+            let reply = frame::read_frame(&mut conn).unwrap();
+            replies.insert(reply.corr, reply.body);
+        }
+        assert!(
+            matches!(replies[&2], FrameBody::ResetResp { tenant: 3 }),
+            "{:?}",
+            replies[&2]
+        );
+        assert!(
+            matches!(replies[&4], FrameBody::DrainResp),
+            "{:?}",
+            replies[&4]
+        );
+        // The second lease is the first 64 IDs of the tenant's epoch-1
+        // stream: the reset was served between the two leases.
+        let FrameBody::LeaseResp {
+            granted,
+            arcs,
+            error,
+            ..
+        } = &replies[&3]
+        else {
+            panic!("expected a lease reply, got {:?}", replies[&3]);
+        };
+        assert_eq!((*granted, error), (64, &None));
+        let ids: Vec<u128> = arcs
+            .iter()
+            .flat_map(|&(start, len)| (0..len).map(move |i| (start + i) % space.size()))
+            .collect();
+        let mut reference = AlgorithmKind::Cluster.build(space).spawn(
+            SeedTree::new(master_seed)
+                .trial(1)
+                .seed(SeedDomain::Instance(tenant)),
+        );
+        let expected: Vec<u128> = (0..64).map(|_| reference.next_id().unwrap().0).collect();
+        assert_eq!(ids, expected, "the second lease is not epoch 1's start");
+        let FrameBody::SummaryResp(summary) = &replies[&5] else {
+            panic!("expected a summary, got {:?}", replies[&5]);
+        };
+        assert_eq!((summary.leases, summary.issued_ids), (2, 128));
+        drop(conn);
+        assert!(server.halt().is_some());
+    }
+
+    #[test]
+    fn shutdown_mid_burst_on_a_one_slot_shard_queue_finishes() {
+        // One shard with a one-slot queue: the reactor blocks on the
+        // full queue while holding the service read guard, and the shard
+        // worker's continuations queue replies back to that reactor. A
+        // shutdown landing mid-burst needs the write guard. Every party
+        // must still finish.
+        let (done_tx, done_rx) = channel();
+        std::thread::spawn(move || {
+            let space = IdSpace::with_bits(40).unwrap();
+            let mut config = ServiceConfig::new(AlgorithmKind::Cluster, space);
+            config.shards = 1;
+            config.queue_depth = 1;
+            let server = TcpServer::bind("127.0.0.1:0", config).unwrap();
+            let client = Client::connect(server.local_addr(), space).unwrap();
+            let (acked_tx, acked_rx) = channel();
+            let burst: Vec<_> = (0..8u64)
+                .map(|tenant| {
+                    let client = client.clone();
+                    let acked_tx = acked_tx.clone();
+                    std::thread::spawn(move || {
+                        let mut granted = 0u128;
+                        while let Ok(lease) = client.lease(tenant, 16) {
+                            granted += lease.granted;
+                            let _ = acked_tx.send(());
+                        }
+                        granted
+                    })
+                })
+                .collect();
+            // Mid-burst: 64 leases are answered, and the rest keep coming.
+            for _ in 0..64 {
+                acked_rx.recv().unwrap();
+            }
+            let summary = client.shutdown().expect("shutdown summary");
+            let acked_ids: u128 = burst.into_iter().map(|h| h.join().unwrap()).sum();
+            let report = server.join().expect("server report");
+            let _ = done_tx.send((summary.issued_ids, acked_ids, report.issued_ids));
+        });
+        let (summary_ids, acked_ids, report_ids) = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("shutdown mid-burst deadlocked");
+        assert_eq!(summary_ids, report_ids);
+        assert!(
+            acked_ids <= report_ids,
+            "clients hold {acked_ids} IDs, the report counts {report_ids}"
+        );
+        assert!(acked_ids >= 64 * 16);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! sockets, reassembly buffers, and per-connection reply queues all
 //! live here, and every other thread talks to the reactor exclusively
 //! through [`ReactorCmd`] messages — the accept loop adopts new
-//! connections, pool/control workers queue reply frames, stop paths
-//! send [`ReactorCmd::Stop`]. No locks guard connection state because
-//! nothing else can reach it.
+//! connections, shard workers and the control thread queue reply
+//! frames, stop paths send [`ReactorCmd::Stop`]. No locks guard
+//! connection state because nothing else can reach it.
 //!
 //! Readiness comes from one of two interchangeable [`Poller`] backends:
 //!
@@ -27,13 +27,17 @@
 //! socket bytes re-report under level-triggered readiness, and
 //! leftover *decoded-but-buffered* frames park the connection in the
 //! reactor's backlog, which is pumped again on the next pass with a
-//! zero timeout. Replies never block a pool worker: they queue on the
-//! owning connection and are flushed with **vectored writes** on write
-//! readiness, so a batch of replies to one multiplexing client retires
-//! in one syscall (`uuidp_net_replies_per_syscall` histograms exactly
-//! that ratio). A peer that stops reading accumulates queued replies
-//! until [`MAX_OUT_QUEUE`] and is then severed — queued-reply
-//! backpressure replaces the old lock-held spin/sleep send.
+//! zero timeout. Replies never block the shard worker or control
+//! thread that sends them: they queue on the owning connection and are
+//! flushed with **vectored writes** on write readiness, so a batch of
+//! replies to one multiplexing client retires in one syscall
+//! (`uuidp_net_replies_per_syscall` histograms exactly that ratio).
+//! A lease reply carries its span (corr id and tenant) beside its
+//! bytes, and the reactor stamps `reply-sent` once the write that
+//! carries the frame's last byte returns. A peer that stops reading
+//! accumulates queued replies until [`MAX_OUT_QUEUE`] and is then
+//! severed — queued-reply backpressure replaces the old lock-held
+//! spin/sleep send.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read as _, Write as _};
@@ -48,11 +52,10 @@ use std::time::Duration;
 use std::os::fd::AsRawFd;
 
 use uuidp_client::frame;
-use uuidp_obs::{AtomicHistogram, Counter, Gauge};
+use uuidp_core::clock;
+use uuidp_obs::{AtomicHistogram, Counter, Gauge, Stage};
 
-use crate::net::{
-    dispatch_frame, handle_v1_connection, CtrlJob, Disposition, PoolJob, ServerState, V2Conn,
-};
+use crate::net::{dispatch_frame, handle_v1_connection, CtrlJob, Disposition, ServerState, V2Conn};
 use crate::reassembly::{BufPool, ReadBuf};
 use crate::service::ServiceReport;
 #[cfg(all(target_os = "linux", not(feature = "poll-fallback")))]
@@ -169,14 +172,20 @@ impl Waker {
 pub(crate) enum ReactorCmd {
     /// A freshly accepted (nonblocking, nodelay) socket to own.
     Adopt(TcpStream),
-    /// One encoded frame to queue on `conn_id`'s reply queue. `done`
-    /// (used by the shutdown path) is signalled when the frame has
-    /// fully reached the socket — or with an error if it cannot.
+    /// One encoded frame to queue on `conn_id`'s reply queue. `span`
+    /// (lease replies) is the `(corr, tenant)` to stamp `reply-sent`
+    /// for once the frame is written. `done` (used by the shutdown
+    /// path) is signalled when the frame has fully reached the socket —
+    /// or with an error if it cannot.
     Reply {
         conn_id: u64,
         bytes: Vec<u8>,
+        span: Option<(u64, u64)>,
         done: Option<SyncSender<io::Result<()>>>,
     },
+    /// The `halt_after_persists` hook fired on lease `corr`: forward
+    /// the crash to the control lane, as a remote halt frame is.
+    Halt { corr: u64 },
     /// Drop everything and exit (the stop paths' abrupt sever).
     Stop,
 }
@@ -206,17 +215,25 @@ impl ReactorHandle {
         &self,
         conn_id: u64,
         bytes: Vec<u8>,
+        span: Option<(u64, u64)>,
         done: Option<SyncSender<io::Result<()>>>,
     ) -> io::Result<()> {
         self.tx
             .send(ReactorCmd::Reply {
                 conn_id,
                 bytes,
+                span,
                 done,
             })
             .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "reactor is gone"))?;
         self.waker.wake();
         Ok(())
+    }
+
+    /// Asks the reactor to crash the node on behalf of lease `corr`.
+    pub(crate) fn halt(&self, corr: u64) {
+        let _ = self.tx.send(ReactorCmd::Halt { corr });
+        self.waker.wake();
     }
 
     /// Tells the reactor to drop everything and exit.
@@ -415,10 +432,12 @@ impl Poller {
     }
 }
 
-/// One queued reply frame (plus the flush ack the shutdown path uses).
+/// One queued reply frame, plus the span to stamp `reply-sent` for and
+/// the flush ack the shutdown path uses.
 struct OutFrame {
     bytes: Vec<u8>,
     at: usize,
+    span: Option<(u64, u64)>,
     done: Option<SyncSender<io::Result<()>>>,
 }
 
@@ -466,7 +485,6 @@ pub(crate) struct ReactorSeed {
     pub poller: Poller,
     pub cmd_rx: Receiver<ReactorCmd>,
     pub handle: ReactorHandle,
-    pub pool_txs: Vec<SyncSender<PoolJob>>,
     pub ctrl_tx: SyncSender<CtrlJob>,
     pub accept_v2: bool,
     pub report_tx: SyncSender<ServiceReport>,
@@ -479,7 +497,6 @@ pub(crate) struct Reactor {
     poller: Poller,
     cmd_rx: Receiver<ReactorCmd>,
     handle: ReactorHandle,
-    pool_txs: Vec<SyncSender<PoolJob>>,
     ctrl_tx: SyncSender<CtrlJob>,
     accept_v2: bool,
     report_tx: SyncSender<ServiceReport>,
@@ -517,7 +534,6 @@ impl Reactor {
             poller: seed.poller,
             cmd_rx: seed.cmd_rx,
             handle: seed.handle,
-            pool_txs: seed.pool_txs,
             ctrl_tx: seed.ctrl_tx,
             accept_v2: seed.accept_v2,
             report_tx: seed.report_tx,
@@ -572,7 +588,7 @@ impl Reactor {
                 }
             }
             // Replies dispatched above (hello-ok, metrics, errors) and
-            // anything pool workers finished meanwhile.
+            // anything shard workers finished meanwhile.
             if self.drain_cmds() {
                 break;
             }
@@ -602,8 +618,14 @@ impl Reactor {
                 ReactorCmd::Reply {
                     conn_id,
                     bytes,
+                    span,
                     done,
-                } => self.queue_reply(conn_id, bytes, done),
+                } => self.queue_reply(conn_id, bytes, span, done),
+                ReactorCmd::Halt { corr } => {
+                    let _ = self.ctrl_tx.send(CtrlJob::Halt {
+                        focus_corr: Some(corr),
+                    });
+                }
                 ReactorCmd::Stop => stop = true,
             }
         }
@@ -618,7 +640,11 @@ impl Reactor {
             self.state.deregister(conn_id);
             return;
         }
-        let shared = Arc::new(V2Conn::new(conn_id, self.handle.clone()));
+        let shared = Arc::new(V2Conn::new(
+            conn_id,
+            self.handle.clone(),
+            Arc::clone(&self.state.trace),
+        ));
         self.conns.insert(
             conn_id,
             NetConn {
@@ -641,6 +667,7 @@ impl Reactor {
         &mut self,
         conn_id: u64,
         bytes: Vec<u8>,
+        span: Option<(u64, u64)>,
         done: Option<SyncSender<io::Result<()>>>,
     ) {
         let Some(conn) = self.conns.get_mut(&conn_id) else {
@@ -653,7 +680,12 @@ impl Reactor {
         };
         conn.out_bytes += bytes.len();
         self.out_queue.add(bytes.len() as i64);
-        conn.out.push_back(OutFrame { bytes, at: 0, done });
+        conn.out.push_back(OutFrame {
+            bytes,
+            at: 0,
+            span,
+            done,
+        });
         if conn.out_bytes > MAX_OUT_QUEUE {
             self.severed.inc();
             // The peer stopped reading long ago: backpressure by sever,
@@ -758,7 +790,6 @@ impl Reactor {
                             &mut conn.hello_done,
                             f,
                             &self.state,
-                            &self.pool_txs,
                             &self.ctrl_tx,
                         ) {
                             Disposition::Keep => {}
@@ -821,12 +852,24 @@ impl Reactor {
                         conn.out_bytes -= n;
                         self.out_queue.add(-(n as i64));
                         let mut retired = 0u64;
+                        let mut sent_at = None;
                         while n > 0 {
                             let front = conn.out.front_mut().expect("retiring written bytes");
                             let left = front.bytes.len() - front.at;
                             if n >= left {
                                 n -= left;
-                                if let Some(done) = conn.out.pop_front().and_then(|f| f.done) {
+                                let sent = conn.out.pop_front().expect("front frame");
+                                if let Some((corr, tenant)) = sent.span {
+                                    let at = *sent_at.get_or_insert_with(clock::monotonic_ns);
+                                    self.state.trace.record(
+                                        corr,
+                                        tenant,
+                                        Stage::ReplySent,
+                                        "lease-resp",
+                                        at,
+                                    );
+                                }
+                                if let Some(done) = sent.done {
                                     let _ = done.send(Ok(()));
                                 }
                                 retired += 1;

@@ -184,14 +184,18 @@ pub struct LeaseReply {
     pub halted: bool,
 }
 
+/// What a shard worker does with a served lease: deliver it, on the
+/// shard thread, right after the lease is served.
+pub(crate) type LeaseThen = Box<dyn FnOnce(LeaseReply) + Send>;
+
 enum ShardMsg {
-    /// Serve a lease and reply with its arcs. `corr` is the wire
+    /// Serve a lease and hand the reply to `then`. `corr` is the wire
     /// correlation id for trace spans (0 = uncorrelated/in-process).
     Lease {
         tenant: u64,
         count: u128,
         corr: u64,
-        reply: SyncSender<LeaseReply>,
+        then: LeaseThen,
     },
     /// Serve a lease, fire-and-forget (stress traffic).
     Issue { tenant: u64, count: u128 },
@@ -535,15 +539,31 @@ impl IdService {
     /// callers use `corr = 0` (via [`IdService::lease`]).
     pub fn lease_traced(&self, tenant: u64, count: u128, corr: u64) -> LeaseReply {
         let (reply, rx) = sync_channel(1);
+        self.lease_then(
+            tenant,
+            count,
+            corr,
+            Box::new(move |lease| {
+                let _ = reply.send(lease);
+            }),
+        );
+        rx.recv().expect("shard replies")
+    }
+
+    /// Queues a lease and returns at once; the shard worker that serves
+    /// it runs `then` with the reply. `then` runs on that worker's
+    /// thread, so it must not block on anything the worker's callers
+    /// may be waiting for (a barrier, [`IdService::shutdown`]). Returns
+    /// `false`, dropping `then` unrun, when the shard worker has died.
+    pub(crate) fn lease_then(&self, tenant: u64, count: u128, corr: u64, then: LeaseThen) -> bool {
         self.shard_of(tenant)
             .send(ShardMsg::Lease {
                 tenant,
                 count,
                 corr,
-                reply,
+                then,
             })
-            .expect("shard alive");
-        rx.recv().expect("shard replies")
+            .is_ok()
     }
 
     /// Fire-and-forget lease (stress traffic): the IDs are issued,
@@ -933,7 +953,7 @@ fn worker_loop(
                 tenant,
                 count,
                 corr,
-                reply,
+                then,
             } => {
                 let (granted, error, arcs, halted) = serve(
                     &config,
@@ -950,7 +970,7 @@ fn worker_loop(
                     true,
                 );
                 // Client delivery is off the issue-latency clock.
-                let _ = reply.send(LeaseReply {
+                then(LeaseReply {
                     tenant,
                     arcs: arcs.unwrap_or_default(),
                     granted,

@@ -521,7 +521,7 @@ pub struct PooledRemoteTarget {
 /// A pool worker: drains its queue over its one persistent connection
 /// (or connection clone), then hands the still-open client back for the
 /// shutdown step along with its worst-lease samples.
-fn pool_worker(mut client: DialedClient, rx: Receiver<PoolMsg>) -> (DialedClient, TailSampler) {
+fn conn_worker(mut client: DialedClient, rx: Receiver<PoolMsg>) -> (DialedClient, TailSampler) {
     let mut tail = TailSampler::new(TAIL_SAMPLES, 0);
     while let Ok(msg) = rx.recv() {
         match msg {
@@ -582,7 +582,7 @@ impl PooledRemoteTarget {
             };
             let (tx, rx) = sync_channel::<PoolMsg>(1024);
             txs.push(tx);
-            handles.push(std::thread::spawn(move || pool_worker(client, rx)));
+            handles.push(std::thread::spawn(move || conn_worker(client, rx)));
         }
         Ok(PooledRemoteTarget {
             space,
@@ -754,12 +754,12 @@ impl ResilientClient {
     }
 }
 
-/// A resilient pool worker: like [`pool_worker`], but failures are
+/// A resilient pool worker: like [`conn_worker`], but failures are
 /// classified, retried, and counted instead of panicking. Hands its
 /// fault ledger and worst-lease samples back when the queue closes.
 /// Latency here is measured around the whole attempt — retries and
 /// backoff included — because that is what the caller experienced.
-fn resilient_pool_worker(
+fn resilient_conn_worker(
     mut client: ResilientClient,
     rx: Receiver<PoolMsg>,
 ) -> (FaultCounters, TailSampler) {
@@ -837,7 +837,7 @@ impl ChaosRemoteTarget {
             let (tx, rx) = sync_channel::<PoolMsg>(1024);
             txs.push(tx);
             handles.push(std::thread::spawn(move || {
-                resilient_pool_worker(client, rx)
+                resilient_conn_worker(client, rx)
             }));
         }
         ChaosRemoteTarget {
