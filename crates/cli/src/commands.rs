@@ -15,7 +15,7 @@ use uuidp_core::id::IdSpace;
 use uuidp_core::rng::{SplitMix64, Xoshiro256pp};
 use uuidp_sim::montecarlo::{estimate_oblivious, TrialConfig};
 
-use uuidp_client::ProtoVersion;
+use uuidp_client::{Client, ClientOptions};
 use uuidp_fleet::router::Placement;
 use uuidp_fleet::run::{run_fleet, FleetConfig, FleetReport};
 use uuidp_netchaos::ChaosSpec;
@@ -227,17 +227,12 @@ pub struct ServeOpts {
     pub audit_threads: usize,
     /// Master seed for the per-tenant seed tree.
     pub seed: u64,
-    /// When set, serve the line protocol over TCP on this address
+    /// When set, serve wire protocol v2 over TCP on this address
     /// (e.g. `127.0.0.1:7821`; port 0 binds an ephemeral port) instead
-    /// of stdin.
+    /// of the stdin command grammar.
     pub listen: Option<String>,
-    /// Wire protocols the TCP listener accepts: `v2` (default)
-    /// negotiates per connection and serves both v1 text and v2 binary
-    /// clients; `v1` is a legacy-only listener that rejects v2 hellos.
-    /// Only meaningful with `--listen`.
-    pub protocol: Option<String>,
-    /// Expose the metric registry for scraping (v1 `metrics` command
-    /// and v2 metrics frames). Only meaningful with `--listen`.
+    /// Expose the metric registry for scraping (v2 metrics and
+    /// timeline frames). Only meaningful with `--listen`.
     pub metrics: bool,
     /// Readiness backend for the TCP reactor (`auto | epoll | poll`).
     /// `auto` picks epoll where compiled in; `poll` forces the portable
@@ -245,22 +240,22 @@ pub struct ServeOpts {
     pub net_backend: String,
 }
 
-/// Runs `uuidp serve`: the line protocol (see [`uuidp_service::protocol`])
-/// over the sharded batch-leasing service — on stdin/stdout by default,
-/// or as a TCP front-end with `--listen`:
+/// Runs `uuidp serve`: the sharded batch-leasing service, driven by the
+/// stdin command grammar (see [`uuidp_service::protocol`]) by default:
 ///
 /// ```text
 /// <tenant> <count>    lease `count` IDs for `tenant`, print the arcs
 /// reset <tenant>      recycle the tenant's generator (new epoch)
 /// drain               block until all prior requests are processed
-/// quit                stop (EOF works too; over TCP, closes this conn)
-/// shutdown            stop the whole service (TCP: report totals)
+/// metrics             print the registry's text exposition
+/// quit | shutdown     stop (EOF works too)
 /// ```
 ///
 /// Writes one reply line per command to `out` and returns the shutdown
-/// summary (issued totals plus the online audit's findings). In
-/// `--listen` mode the bound address is announced on `out` and the call
-/// blocks until a client sends `shutdown`.
+/// summary (issued totals plus the online audit's findings). With
+/// `--listen` it is a TCP front-end speaking wire protocol v2 instead:
+/// the bound address is announced on `out` and the call blocks until a
+/// v2 client sends `shutdown`.
 pub fn serve(
     opts: &ServeOpts,
     input: &mut dyn std::io::BufRead,
@@ -269,15 +264,6 @@ pub fn serve(
     let space =
         IdSpace::with_bits(opts.bits).map_err(|e| ParseError(format!("bad --bits: {e}")))?;
     let kind = parse_algorithm_kind(&opts.algorithm, space)?;
-    let protocol = match &opts.protocol {
-        None => None,
-        Some(p) => Some(ProtoVersion::parse(p).map_err(ParseError)?),
-    };
-    if protocol.is_some() && opts.listen.is_none() {
-        return Err(ParseError(
-            "--protocol only applies with --listen (stdin serve has no wire to version)".into(),
-        ));
-    }
     if opts.metrics && opts.listen.is_none() {
         return Err(ParseError(
             "--metrics only applies with --listen (stdin serve has no scrape surface)".into(),
@@ -301,7 +287,6 @@ pub fn serve(
 
     if let Some(addr) = &opts.listen {
         let options = ServerOptions {
-            accept_v2: protocol != Some(ProtoVersion::V1),
             metrics: opts.metrics,
             backend,
         };
@@ -309,11 +294,7 @@ pub fn serve(
             .map_err(|e| ParseError(format!("bind {addr}: {e}")))?;
         writeln!(out, "listening on {}", server.local_addr()).map_err(io_err)?;
         if opts.metrics {
-            writeln!(
-                out,
-                "metrics exposition enabled (v1 `metrics` command, v2 metrics frames)"
-            )
-            .map_err(io_err)?;
+            writeln!(out, "metrics exposition enabled (v2 metrics frames)").map_err(io_err)?;
         }
         out.flush().map_err(io_err)?;
         let report = server
@@ -402,12 +383,9 @@ pub struct StressOpts {
     /// Replay over a loopback TCP server through the real socket client
     /// instead of in-process channels.
     pub remote: bool,
-    /// Client-side connection pool width for `--remote` runs: worker
-    /// threads, each reusing one persistent connection all run.
+    /// Client-side width for `--remote` runs: worker threads, each
+    /// reusing one persistent v2 connection all run.
     pub remote_workers: usize,
-    /// Wire protocol for `--remote` runs (`v1 | v2`). Under v2 the
-    /// whole worker pool multiplexes a single connection.
-    pub protocol: String,
     /// Chaos spec for `--remote` runs: a deterministic fault-injecting
     /// proxy sits between the client pool and the server (see
     /// `uuidp_netchaos::ChaosSpec` for the grammar, e.g.
@@ -417,7 +395,7 @@ pub struct StressOpts {
     /// identical schedule bit for bit.
     pub chaos_seed: u64,
     /// Run a live metrics scraper beside the load (`--remote` only): a
-    /// dedicated v1 connection scrapes the registry throughout the run,
+    /// dedicated connection scrapes the registry throughout the run,
     /// asserting required families stay present and monotone.
     pub scrape: bool,
     /// Readiness backend for the `--remote` server's reactor
@@ -443,7 +421,6 @@ impl StressOpts {
             seed: 0x57E5,
             remote: false,
             remote_workers: 1,
-            protocol: "v1".into(),
             chaos: None,
             chaos_seed: 0,
             scrape: false,
@@ -479,7 +456,6 @@ pub fn stress(opts: &StressOpts) -> Result<String, ParseError> {
         }
     };
 
-    let protocol = ProtoVersion::parse(&opts.protocol).map_err(ParseError)?;
     if opts.remote_workers == 0 {
         return Err(ParseError(
             "--remote-workers must be at least 1 (a pool of zero workers would hang)".into(),
@@ -488,12 +464,6 @@ pub fn stress(opts: &StressOpts) -> Result<String, ParseError> {
     if opts.remote_workers > 1 && !opts.remote {
         return Err(ParseError(
             "--remote-workers only applies with --remote (the in-process path has no connections to pool)"
-                .into(),
-        ));
-    }
-    if protocol == ProtoVersion::V2 && !opts.remote {
-        return Err(ParseError(
-            "--protocol v2 only applies with --remote (the in-process path has no wire to version)"
                 .into(),
         ));
     }
@@ -525,17 +495,17 @@ pub fn stress(opts: &StressOpts) -> Result<String, ParseError> {
     let mut cfg = StressConfig::new(service, opts.tenants, opts.requests, opts.count);
     cfg.mix = mix;
     cfg.remote_workers = opts.remote_workers;
-    cfg.protocol = protocol;
     cfg.chaos = chaos;
     cfg.chaos_seed = opts.chaos_seed;
     cfg.scrape = opts.scrape;
     cfg.net_backend = net_backend;
-    let mut transport = if opts.remote && cfg.remote_workers > 1 && protocol == ProtoVersion::V2 {
-        format!(" (loopback TCP transport, protocol {protocol}, pooled workers multiplexing one connection)")
-    } else if opts.remote && cfg.remote_workers > 1 {
-        format!(" (loopback TCP transport, protocol {protocol}, pooled connections)")
+    let mut transport = if opts.remote && cfg.remote_workers > 1 {
+        format!(
+            " (loopback TCP transport, protocol v2, {} pooled connections)",
+            cfg.remote_workers
+        )
     } else if opts.remote {
-        format!(" (loopback TCP transport, protocol {protocol})")
+        " (loopback TCP transport, protocol v2)".to_string()
     } else {
         String::new()
     };
@@ -628,8 +598,6 @@ pub struct FleetOpts {
     /// Durable state root; a per-run temp directory (cleaned up
     /// afterwards) when unset.
     pub state_dir: Option<String>,
-    /// Wire protocol the router dials every node with (`v1 | v2`).
-    pub protocol: String,
     /// Chaos spec: every node gets its own deterministic fault-injecting
     /// proxy derived from `--chaos-seed` (see `uuidp_netchaos::ChaosSpec`
     /// for the grammar). Composes with `--kill-every`.
@@ -660,7 +628,6 @@ impl FleetOpts {
             kill_every: None,
             reservation: 256,
             state_dir: None,
-            protocol: "v1".into(),
             chaos: None,
             chaos_seed: 0,
             scrape: false,
@@ -678,7 +645,6 @@ pub fn fleet(opts: &FleetOpts) -> Result<String, ParseError> {
         IdSpace::with_bits(opts.bits).map_err(|e| ParseError(format!("bad --bits: {e}")))?;
     let kind = parse_algorithm_kind(&opts.algorithm, space)?;
     let placement = Placement::parse(&opts.placement).map_err(ParseError)?;
-    let protocol = ProtoVersion::parse(&opts.protocol).map_err(ParseError)?;
     if opts.kill_every == Some(0) {
         return Err(ParseError(
             "--kill-every must be at least 1 (omit the flag to disable chaos)".into(),
@@ -701,7 +667,7 @@ pub fn fleet(opts: &FleetOpts) -> Result<String, ParseError> {
             true,
         ),
     };
-    let result = fleet_phases(opts, kind, space, placement, protocol, &state_root);
+    let result = fleet_phases(opts, kind, space, placement, &state_root);
     if ephemeral {
         let _ = std::fs::remove_dir_all(&state_root);
     }
@@ -713,7 +679,6 @@ fn fleet_phases(
     kind: uuidp_core::algorithms::AlgorithmKind,
     space: IdSpace,
     placement: Placement,
-    protocol: ProtoVersion,
     state_root: &std::path::Path,
 ) -> Result<String, ParseError> {
     let mut service = ServiceConfig::new(kind, space);
@@ -744,7 +709,6 @@ fn fleet_phases(
     cfg.kill_every = opts.kill_every;
     cfg.reservation = opts.reservation.max(1);
     cfg.audit_stripes = opts.audit_stripes.max(1);
-    cfg.protocol = protocol;
     cfg.chaos = match &opts.chaos {
         None => None,
         Some(s) => Some(ChaosSpec::parse(s).map_err(|e| ParseError(format!("bad --chaos: {e}")))?),
@@ -753,11 +717,10 @@ fn fleet_phases(
     cfg.scrape = opts.scrape;
     let main = run(cfg.clone(), "main")?;
     let mut out = format!(
-        "# fleet: {} over m = 2^{}, {} nodes, protocol {}{}{}\n\n{}",
+        "# fleet: {} over m = 2^{}, {} nodes, protocol v2{}{}\n\n{}",
         opts.algorithm,
         opts.bits,
         opts.nodes,
-        protocol,
         match opts.kill_every {
             Some(k) => format!(" (chaos: kill every {k} requests)"),
             None => String::new(),
@@ -817,8 +780,6 @@ pub struct TopOpts {
     pub connect: String,
     /// Universe width in bits (must match the servers').
     pub bits: u32,
-    /// Wire protocol for the metric fetches (`v1 | v2`).
-    pub protocol: String,
     /// Milliseconds between polls (one time-series window per poll).
     pub interval_ms: u64,
     /// Take exactly two polls one interval apart and emit one
@@ -833,7 +794,7 @@ pub struct TopOpts {
 struct TopNode {
     addr: std::net::SocketAddr,
     label: String,
-    client: Option<uuidp_service::net::DialedClient>,
+    client: Option<Client>,
     series: uuidp_obs::TimeSeries,
     alerts: uuidp_obs::BurnRateAlerts,
     last: Option<uuidp_obs::Snapshot>,
@@ -859,17 +820,13 @@ impl TopNode {
     /// with the window's `(lease errors, leases)` delta. A failed
     /// scrape drops the connection (redialed next tick), marks the
     /// node down, and counts — it never kills the dashboard.
-    fn poll(&mut self, tick: u64, space: IdSpace, proto: ProtoVersion) {
+    fn poll(&mut self, tick: u64, space: IdSpace) {
         let text = (|| -> std::io::Result<String> {
             if self.client.is_none() {
-                self.client = Some(uuidp_service::net::DialedClient::connect_with(
-                    self.addr,
-                    space,
-                    proto,
-                    Some(std::time::Duration::from_secs(2)),
-                )?);
+                let options = ClientOptions::bounded(std::time::Duration::from_secs(2));
+                self.client = Some(Client::connect_with(self.addr, space, options)?);
             }
-            self.client.as_mut().expect("dialed above").metrics()
+            self.client.as_ref().expect("dialed above").metrics()
         })();
         match text {
             Ok(text) => {
@@ -1027,7 +984,6 @@ fn render_top_json(rows: &[TopRow], interval_ms: u64) -> String {
 pub fn top(opts: &TopOpts) -> Result<String, ParseError> {
     let space =
         IdSpace::with_bits(opts.bits).map_err(|e| ParseError(format!("bad --bits: {e}")))?;
-    let proto = ProtoVersion::parse(&opts.protocol).map_err(ParseError)?;
     let interval_ms = opts.interval_ms.max(10);
     let per_sec = 1000.0 / interval_ms as f64;
     let mut nodes: Vec<TopNode> = Vec::new();
@@ -1045,7 +1001,7 @@ pub fn top(opts: &TopOpts) -> Result<String, ParseError> {
         // Two polls bracket one interval, so every rate has a delta.
         for tick in 0..2u64 {
             for node in &mut nodes {
-                node.poll(tick, space, proto);
+                node.poll(tick, space);
             }
             if tick == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(interval_ms));
@@ -1076,7 +1032,7 @@ pub fn top(opts: &TopOpts) -> Result<String, ParseError> {
     let mut tick = 0u64;
     loop {
         for node in &mut nodes {
-            node.poll(tick, space, proto);
+            node.poll(tick, space);
         }
         let rows: Vec<TopRow> = nodes.iter().map(|n| n.stats(per_sec)).collect();
         let frame = render_top_frame(&rows, tick, interval_ms);
@@ -1269,7 +1225,6 @@ mod tests {
             audit_threads: 1,
             seed: 9,
             listen: None,
-            protocol: None,
             metrics: false,
             net_backend: "auto".into(),
         }
@@ -1313,8 +1268,7 @@ mod tests {
                         let addr: std::net::SocketAddr = addr.parse().expect("announced addr");
                         self.client = Some(std::thread::spawn(move || {
                             let space = IdSpace::with_bits(40).unwrap();
-                            let mut client =
-                                uuidp_service::net::RemoteClient::connect(addr, space).unwrap();
+                            let client = Client::connect(addr, space).unwrap();
                             let granted = client.lease(5, 123).unwrap().granted;
                             client.shutdown().unwrap();
                             granted
@@ -1484,18 +1438,17 @@ mod tests {
     #[test]
     fn stress_remote_protocol_v2_replays_over_the_mux() {
         // The v2 smoke: the framed transport with a pooled client side
-        // (all workers multiplexing one connection) still validates the
+        // (one connection per worker) still validates the
         // injected-twin audit phase.
         let opts = StressOpts {
             requests: 120,
             remote: true,
             remote_workers: 3,
-            protocol: "v2".into(),
             ..StressOpts::trials_small("cluster")
         };
         let out = stress(&opts).unwrap();
         assert!(out.contains("protocol v2"), "{out}");
-        assert!(out.contains("multiplexing one connection"), "{out}");
+        assert!(out.contains("3 pooled connections"), "{out}");
         assert!(out.contains("validation:  ok"));
     }
 
@@ -1508,17 +1461,6 @@ mod tests {
         };
         let err = stress(&opts).unwrap_err();
         assert!(err.0.contains("--remote-workers"), "{}", err.0);
-    }
-
-    #[test]
-    fn stress_rejects_v2_without_remote() {
-        let opts = StressOpts {
-            protocol: "v2".into(),
-            ..StressOpts::trials_small("cluster")
-        };
-        let err = stress(&opts).unwrap_err();
-        assert!(err.0.contains("--protocol v2"), "{}", err.0);
-        assert!(err.0.contains("--remote"), "{}", err.0);
     }
 
     #[test]
@@ -1558,7 +1500,6 @@ mod tests {
             requests: 150,
             remote: true,
             remote_workers: 2,
-            protocol: "v2".into(),
             chaos: Some("small".into()),
             chaos_seed: 0xC405,
             ..StressOpts::trials_small("cluster")
@@ -1576,7 +1517,6 @@ mod tests {
             requests: 90,
             kill_every: Some(30),
             reservation: 64,
-            protocol: "v2".into(),
             chaos: Some("small".into()),
             chaos_seed: 0xF417,
             ..FleetOpts::trials_small("cluster*")
@@ -1586,35 +1526,6 @@ mod tests {
         assert!(out.contains("slo:"), "{out}");
         assert!(out.contains("0 from recovered nodes"), "{out}");
         assert!(out.contains("validation:  ok"), "{out}");
-    }
-
-    #[test]
-    fn stress_and_fleet_reject_unknown_protocols() {
-        let opts = StressOpts {
-            remote: true,
-            protocol: "v3".into(),
-            ..StressOpts::trials_small("cluster")
-        };
-        let err = stress(&opts).unwrap_err();
-        assert!(err.0.contains("unknown protocol `v3`"), "{}", err.0);
-        let opts = FleetOpts {
-            protocol: "binary".into(),
-            ..FleetOpts::trials_small("cluster")
-        };
-        let err = fleet(&opts).unwrap_err();
-        assert!(err.0.contains("unknown protocol `binary`"), "{}", err.0);
-    }
-
-    #[test]
-    fn serve_rejects_protocol_without_listen() {
-        let opts = ServeOpts {
-            protocol: Some("v2".into()),
-            ..serve_opts("cluster", 32)
-        };
-        let mut input = &b""[..];
-        let mut output = Vec::new();
-        let err = serve(&opts, &mut input, &mut output).unwrap_err();
-        assert!(err.0.contains("--listen"), "{}", err.0);
     }
 
     #[test]
@@ -1668,7 +1579,6 @@ mod tests {
         let opts = StressOpts {
             requests: 200,
             remote: true,
-            protocol: "v2".into(),
             net_backend: "poll".into(),
             ..StressOpts::trials_small("cluster")
         };
@@ -1710,16 +1620,13 @@ mod tests {
         let space = IdSpace::with_bits(44).unwrap();
         let config = ServiceConfig::new(AlgorithmKind::ClusterStar, space);
         let server = TcpServer::bind("127.0.0.1:0", config).unwrap();
-        let mut client =
-            uuidp_service::net::DialedClient::connect(server.local_addr(), space, ProtoVersion::V2)
-                .unwrap();
+        let client = Client::connect(server.local_addr(), space).unwrap();
         for tenant in 0..4 {
             client.lease(tenant, 32).unwrap();
         }
         let opts = TopOpts {
             connect: server.local_addr().to_string(),
             bits: 44,
-            protocol: "v2".into(),
             interval_ms: 20,
             once: true,
             windows: 8,
@@ -1740,7 +1647,6 @@ mod tests {
         let opts = TopOpts {
             connect: "127.0.0.1:1".into(),
             bits: 44,
-            protocol: "v2".into(),
             interval_ms: 10,
             once: true,
             windows: 4,
@@ -1799,7 +1705,6 @@ mod tests {
         let mut opts = TopOpts {
             connect: " , ".into(),
             bits: 44,
-            protocol: "v2".into(),
             interval_ms: 10,
             once: true,
             windows: 4,
@@ -1813,7 +1718,6 @@ mod tests {
     fn fleet_smoke_over_protocol_v2_validates_the_global_audit() {
         let opts = FleetOpts {
             requests: 120,
-            protocol: "v2".into(),
             ..FleetOpts::trials_small("cluster")
         };
         let out = fleet(&opts).unwrap();
@@ -1827,7 +1731,6 @@ mod tests {
             requests: 90,
             kill_every: Some(15),
             reservation: 64,
-            protocol: "v2".into(),
             ..FleetOpts::trials_small("cluster*")
         };
         let out = fleet(&opts).unwrap();

@@ -3,9 +3,9 @@
 //! Every v2 message — in either direction — is one frame:
 //!
 //! ```text
-//! magic     4 bytes   [0x00, 'U', 'P', '2']  (the NUL lead byte is the
-//!                     version-negotiation sniff: no v1 text line
-//!                     starts with NUL)
+//! magic     4 bytes   [0x00, 'U', 'P', '2']  (a peer whose first byte
+//!                     is anything else — a text line, say — fails
+//!                     the magic check at once)
 //! kind      u8        frame kind (see the table below)
 //! corr      u64 LE    correlation id (0 = uncorrelated/connection-level)
 //! length    u32 LE    payload byte count (≤ 16 MiB)
@@ -41,9 +41,9 @@
 //! Decoding arbitrary bytes can fail ([`FrameError`], typed) but must
 //! never panic or over-allocate: the payload length is capped before
 //! allocation, every field read is bounds-checked, and the checksum is
-//! verified before the payload is interpreted. Unlike the v1 text
-//! protocol, a framing error is connection-fatal — there is no reliable
-//! way to resynchronize a binary stream after a corrupt length field.
+//! verified before the payload is interpreted. A framing error is
+//! connection-fatal — there is no reliable way to resynchronize a
+//! binary stream after a corrupt length field.
 
 use std::io::{self, Read, Write};
 
@@ -54,8 +54,8 @@ use uuidp_core::codec::{
 
 use crate::Summary;
 
-/// Magic bytes opening every v2 frame. The leading NUL is what the
-/// server's version sniff keys on.
+/// Magic bytes opening every v2 frame. The leading NUL makes any text
+/// line fail the magic check on its first byte.
 pub const MAGIC: [u8; 4] = [0x00, b'U', b'P', b'2'];
 
 /// The protocol version this codec speaks.
@@ -404,7 +404,7 @@ pub fn encode_frame(corr: u64, body: &FrameBody) -> Vec<u8> {
 pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameError> {
     if buf.len() < HEADER_LEN {
         // An early magic mismatch is reportable before the full header
-        // arrives — and is what the version sniff relies on.
+        // arrives — a text client is cut off on its first byte.
         let probe = buf.len().min(MAGIC.len());
         if buf.get(..probe) != Some(&MAGIC[..probe]) {
             return Err(FrameError::BadMagic);
@@ -611,8 +611,8 @@ mod tests {
 
     #[test]
     fn text_bytes_are_rejected_as_bad_magic_immediately() {
-        // The negotiation sniff: a v1 text line must fail fast on its
-        // very first byte, not wait for a full header.
+        // A text line must fail fast on its very first byte, not wait
+        // for a full header.
         assert_eq!(decode_frame(b"l"), Err(FrameError::BadMagic));
         assert_eq!(decode_frame(b"lease 1 10\n"), Err(FrameError::BadMagic));
         // And a NUL lead byte is (so far) a valid v2 prefix.

@@ -195,9 +195,9 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uuidp_client::Client;
     use uuidp_core::algorithms::AlgorithmKind;
     use uuidp_core::id::IdSpace;
-    use uuidp_service::net::RemoteClient;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -222,7 +222,7 @@ mod tests {
         assert!(fleet.nodes().iter().all(|n| n.is_up()));
         // Serving creates the per-node snapshot layout.
         let space = IdSpace::with_bits(40).unwrap();
-        let mut client = RemoteClient::connect(fleet.addr(1), space).unwrap();
+        let client = Client::connect(fleet.addr(1), space).unwrap();
         assert_eq!(client.lease(7, 10).unwrap().granted, 10);
         client.drain().unwrap();
         assert!(dir.join("node-1").join("tenant-7.snap").is_file());
@@ -235,7 +235,7 @@ mod tests {
         let dir = temp_dir("recover");
         let mut fleet = Fleet::launch(template(24), 1, &dir, 64).unwrap();
         let space = IdSpace::with_bits(24).unwrap();
-        let mut client = RemoteClient::connect(fleet.addr(0), space).unwrap();
+        let client = Client::connect(fleet.addr(0), space).unwrap();
         let first = client.lease(3, 100).unwrap();
         assert_eq!(fleet.nodes()[0].incarnation(), 0);
 
@@ -245,7 +245,7 @@ mod tests {
         let addr = fleet.restart(0).unwrap();
         assert_eq!(fleet.nodes()[0].incarnation(), 1);
 
-        let mut client2 = RemoteClient::connect(addr, space).unwrap();
+        let client2 = Client::connect(addr, space).unwrap();
         let second = client2.lease(3, 100).unwrap();
         // The recovered tenant continues its own permutation strictly
         // after the abandoned window: no arc overlap with the pre-crash

@@ -3,8 +3,8 @@
 //! The [`Router`] plays two roles at once:
 //!
 //! * **Placement + transport** — every tenant is pinned to one node
-//!   (`tenant % nodes`), and the router keeps **one persistent
-//!   [`RemoteClient`] connection per node** for the whole run
+//!   (`tenant % nodes`), and the router keeps **one persistent v2
+//!   [`Client`] connection per node** for the whole run
 //!   (re-established only when chaos kills the node). The pinning is
 //!   what makes the whole fleet deterministic: a tenant's stream is a
 //!   function of its seed alone, and no tenant is ever served by two
@@ -46,12 +46,11 @@ use uuidp_core::clock;
 use uuidp_adversary::adaptive::{Action, AdaptiveAdversary, AdversarySpec, GameView};
 use uuidp_adversary::profile::power_law;
 use uuidp_adversary::run_hunter::RunHunter;
-use uuidp_client::{classify, ErrorClass, ProtoVersion, RetryPolicy};
+use uuidp_client::{classify, Client, ClientOptions, ErrorClass, Lease, ProtoVersion, RetryPolicy};
 use uuidp_core::id::{Id, IdSpace};
 use uuidp_core::interval::Arc;
 use uuidp_core::rng::{SeedDomain, SeedTree, Xoshiro256pp};
 use uuidp_service::metrics::{FaultCounters, LatencyHistogram};
-use uuidp_service::net::DialedClient;
 use uuidp_sim::audit::{AuditCounts, LeaseAudit};
 
 /// Tenants must fit under the incarnation tag in the global audit's
@@ -268,7 +267,7 @@ pub const DOWN_AFTER: u32 = 3;
 /// connection (if live), and the health bookkeeping.
 struct NodeLink {
     addr: Option<SocketAddr>,
-    client: Option<DialedClient>,
+    client: Option<Client>,
     incarnation: u32,
     health: NodeHealth,
     consecutive_failures: u32,
@@ -289,7 +288,6 @@ impl NodeLink {
 /// The tenant-affine fleet router (see the module docs).
 pub struct Router {
     space: IdSpace,
-    protocol: ProtoVersion,
     links: Vec<NodeLink>,
     policy: RetryPolicy,
     dial_timeout: Option<Duration>,
@@ -304,19 +302,20 @@ pub struct Router {
 
 impl Router {
     /// A router for `nodes` nodes over `space`, auditing globally with
-    /// `audit_stripes` stripes and speaking `protocol` to every node
-    /// (v1: one line-protocol connection per node; v2: one multiplexed
-    /// framed connection per node).
+    /// `audit_stripes` stripes and holding one v2 connection per node.
+    ///
+    /// `_protocol` selects nothing (v2 is the only wire protocol); the
+    /// parameter is kept only because the frozen benchmark in
+    /// `perfbench/` still passes it.
     pub fn new(
         space: IdSpace,
         nodes: usize,
         audit_stripes: usize,
-        protocol: ProtoVersion,
+        _protocol: ProtoVersion,
     ) -> Router {
         assert!(nodes >= 1, "at least one node");
         Router {
             space,
-            protocol,
             links: (0..nodes).map(|_| NodeLink::new()).collect(),
             policy: RetryPolicy::none(),
             dial_timeout: None,
@@ -348,19 +347,24 @@ impl Router {
         self.dial_timeout = timeout;
     }
 
+    /// Dials `addr` with every blocking phase bounded by the dial
+    /// timeout, when one is set.
+    fn dial(&self, addr: SocketAddr) -> io::Result<Client> {
+        let options = self
+            .dial_timeout
+            .map_or_else(ClientOptions::default, ClientOptions::bounded);
+        Client::connect_with(addr, self.space, options)
+    }
+
     /// Opens (or replaces) the persistent connection to node `index`.
     pub fn connect(&mut self, index: usize, addr: SocketAddr) -> io::Result<()> {
         self.links[index].addr = Some(addr);
-        match DialedClient::connect_with(addr, self.space, self.protocol, self.dial_timeout) {
-            Ok(client) => {
-                let link = &mut self.links[index];
-                link.client = Some(client);
-                link.health = NodeHealth::Healthy;
-                link.consecutive_failures = 0;
-                Ok(())
-            }
-            Err(e) => Err(e),
-        }
+        let client = self.dial(addr)?;
+        let link = &mut self.links[index];
+        link.client = Some(client);
+        link.health = NodeHealth::Healthy;
+        link.consecutive_failures = 0;
+        Ok(())
     }
 
     /// Records node `index`'s address without dialing: the first
@@ -373,11 +377,6 @@ impl Router {
         link.client = None;
     }
 
-    /// The wire protocol this router dials nodes with.
-    pub fn protocol(&self) -> ProtoVersion {
-        self.protocol
-    }
-
     /// Reconnects to a crash-restarted node: fresh connection, and all
     /// the node's tenants audit under the next incarnation from here
     /// on (so any overlap with their pre-crash material counts).
@@ -388,7 +387,7 @@ impl Router {
 
     /// The crash acknowledgement for proxied topologies, where the
     /// node's *proxy* address is stable across the restart: bumps the
-    /// incarnation and drops the (dead) connection — dropping a v2
+    /// incarnation and drops the (dead) connection — dropping a
     /// client fails its pending waiters with a typed broken-connection
     /// error, so in-flight work is drained, never stranded. The next
     /// request to the node redials through the stored address.
@@ -423,12 +422,7 @@ impl Router {
 
     /// One lease attempt against node `index`, redialing first if the
     /// connection is down (the probe half of probed recovery).
-    fn try_lease_once(
-        &mut self,
-        node: usize,
-        tenant: u64,
-        count: u128,
-    ) -> io::Result<uuidp_service::protocol::WireLease> {
+    fn try_lease_once(&mut self, node: usize, tenant: u64, count: u128) -> io::Result<Lease> {
         if self.links[node].client.is_none() {
             let addr = self.links[node].addr.ok_or_else(|| {
                 io::Error::new(
@@ -436,14 +430,13 @@ impl Router {
                     format!("router has no address for node {node}"),
                 )
             })?;
-            let client =
-                DialedClient::connect_with(addr, self.space, self.protocol, self.dial_timeout)?;
+            let client = self.dial(addr)?;
             self.links[node].client = Some(client);
             self.faults.reconnects += 1;
         }
         self.links[node]
             .client
-            .as_mut()
+            .as_ref()
             .expect("just dialed")
             .lease(tenant, count)
     }
@@ -539,7 +532,7 @@ impl Router {
     }
 
     /// Sends `shutdown` over node `index`'s connection, consuming it.
-    /// The node's own summary line is parsed and dropped — the caller
+    /// The node's own summary frame is dropped — the caller
     /// collects the richer server-side report via
     /// [`Fleet::join_node`](crate::cluster::Fleet::join_node).
     ///
@@ -558,9 +551,7 @@ impl Router {
                 Some(c) => c.shutdown().map(|_| ()),
                 None => {
                     let addr = self.links[index].addr.expect("checked above");
-                    DialedClient::connect_with(addr, self.space, self.protocol, self.dial_timeout)
-                        .and_then(|c| c.shutdown())
-                        .map(|_| ())
+                    self.dial(addr).and_then(|c| c.shutdown()).map(|_| ())
                 }
             };
             match result {

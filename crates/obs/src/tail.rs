@@ -15,8 +15,8 @@
 /// One sampled slow lease, with its fetched timeline once assembled.
 #[derive(Debug, Clone)]
 pub struct SlowLease {
-    /// Correlation id of the lease frame (0 for protocol v1, which
-    /// carries no corr ids — such samples keep latency but no story).
+    /// Correlation id of the lease frame (0 for a lease that travelled
+    /// without one — such samples keep latency but no story).
     pub corr: u64,
     /// Tenant that requested the lease.
     pub tenant: u64,

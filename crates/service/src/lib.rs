@@ -21,26 +21,23 @@
 //!   interleaving-invariant totals (bit-identical for every `(shards,
 //!   audit_stripes, audit_threads)` combination), and reporting
 //!   per-thread lag so a straggling stripe subset is visible.
-//! * [`protocol`] — the v1 newline-framed line protocol (`lease` /
-//!   `reset` / `drain` / `quit` / `shutdown`) with both the server-side
-//!   renderers and the client-side parsers; its wire types are the same
-//!   typed `uuidp_client` structs the v2 binary client returns.
-//! * [`net`] — [`net::TcpServer`]: the TCP front-end, **negotiating the
-//!   wire protocol per connection**: v1 text clients get the classic
-//!   thread-per-connection line loop; v2 binary-frame clients
-//!   (`uuidp_client::Client`) are served with no per-connection thread
-//!   at all — a nonblocking demux reads every v2 connection and a
-//!   fixed, tenant-keyed worker pool executes requests by correlation
-//!   id. Plus [`net::RemoteClient`] (the blocking v1 client) and
-//!   [`net::DialedClient`] (either protocol behind one surface).
+//! * [`protocol`] — the stdin command grammar of `uuidp serve`
+//!   (`lease` / `reset` / `drain` / `metrics` / `quit` / `shutdown`),
+//!   plus the typed wire views the v2 client returns.
+//! * [`net`] — [`net::TcpServer`]: the TCP front-end, speaking wire
+//!   protocol v2 (`uuidp_client`'s binary frames) with no
+//!   per-connection thread at all — one [`reactor`] thread owns every
+//!   socket and hands each lease straight to its tenant's shard
+//!   worker, which queues the reply. The client half is
+//!   `uuidp_client::Client`.
 //! * [`stress`] — [`stress::run_stress`]: replays deterministic traffic
 //!   mixes (uniform, Zipf-skewed, flood, and the `adversary` crate's
 //!   adaptive RunHunter playing through the front door) and reports
 //!   throughput, p50/p99 issue latency, and audit lag. The driver is
 //!   transport-generic ([`stress::StressTarget`]);
 //!   [`stress::run_stress_remote`] replays the same mixes through a
-//!   loopback TCP server and must reproduce the in-process audit totals
-//!   exactly.
+//!   loopback TCP server, one v2 connection per client worker, and must
+//!   reproduce the in-process audit totals exactly.
 //! * [`metrics`] — the allocation-free latency histogram behind those
 //!   quantiles.
 //!
@@ -67,7 +64,7 @@ pub mod sys;
 /// One-stop imports for typical use.
 pub mod prelude {
     pub use crate::metrics::LatencyHistogram;
-    pub use crate::net::{DialedClient, RemoteClient, ServerOptions, TcpServer};
+    pub use crate::net::{ServerOptions, TcpServer};
     pub use crate::protocol::{Command, WireLease, WireSummary};
     pub use crate::reactor::NetBackend;
     pub use crate::service::{

@@ -1,8 +1,10 @@
-//! The `uuidp` service line protocol: one command per line in, one
-//! reply line per command out, UTF-8, newline-framed. The same grammar
-//! is spoken on stdin by `uuidp serve` and over TCP by the
-//! [`net`](crate::net) front-end, so everything here is pure
-//! parse/render code shared by both sides of the wire.
+//! The stdin grammar of `uuidp serve`: one command per line in, one
+//! reply line per command out, UTF-8, newline-framed. It is a local
+//! REPL, not a wire protocol — the TCP front-end ([`net`](crate::net))
+//! speaks only the v2 frames of `uuidp_client::frame`. This module also
+//! holds the typed wire views the v2 client returns ([`WireLease`],
+//! [`WireSummary`]) and [`wire_summary`], the one projection of a
+//! [`ServiceReport`] onto a summary frame.
 //!
 //! ## Commands
 //!
@@ -12,17 +14,14 @@
 //! | `reset <tenant>` | recycle the tenant's generator into a new epoch | `reset tenant=T` |
 //! | `drain` | block until all prior requests are processed | `drained` |
 //! | `metrics` | scrape the registry (Prometheus text exposition) | multi-line exposition, terminated by `# EOF` |
-//! | `quit` / `exit` | close this connection (EOF works too) | — |
-//! | `shutdown` | stop the whole service, report totals | `bye issued=… dup=…` (see [`render_summary`]) |
+//! | `quit` / `exit` | stop reading (EOF works too) | — |
+//! | `shutdown` | stop the service | — (`uuidp serve` prints its totals) |
 //!
 //! Malformed lines get `error: <message>` and the connection stays up.
 //! Lease arcs are rendered `start+len` in emission order, comma-joined
 //! (empty after `arcs=` when nothing was granted).
 
 use std::fmt::Write as _;
-
-use uuidp_core::id::{Id, IdSpace};
-use uuidp_core::interval::Arc;
 
 use crate::service::{LeaseReply, ServiceReport};
 
@@ -45,12 +44,12 @@ pub enum Command {
     Drain,
     /// Scrape the metric registry: the reply is a multi-line
     /// Prometheus-style text exposition terminated by a `# EOF` line
-    /// (the only multi-line reply in the v1 grammar, so the sentinel
-    /// is what lets a line-at-a-time client find the end).
+    /// (the only multi-line reply in the grammar, so the sentinel is
+    /// what lets a line-at-a-time reader find the end).
     Metrics,
-    /// Close this connection; the service keeps running.
+    /// Stop reading commands.
     Quit,
-    /// Stop the whole service and reply with the shutdown summary.
+    /// Stop the whole service.
     Shutdown,
 }
 
@@ -101,71 +100,23 @@ pub fn render_lease(reply: &LeaseReply) -> String {
     out
 }
 
-/// A lease reply as reconstructed on the client side of the wire — the
-/// same typed [`uuidp_client::Lease`] the v2 binary client returns, so
-/// consumers are protocol-agnostic. The server's typed `GeneratorError`
-/// travels as its display text either way.
+/// A lease reply as reconstructed on the client side of the wire: the
+/// typed [`uuidp_client::Lease`] the v2 client returns. The server's
+/// typed `GeneratorError` travels as its display text.
 pub type WireLease = uuidp_client::Lease;
 
-/// Parses a [`render_lease`] line back into its parts.
-pub fn parse_lease_line(line: &str, space: IdSpace) -> Result<WireLease, String> {
-    let rest = line
-        .strip_prefix("lease ")
-        .ok_or_else(|| format!("not a lease reply: `{line}`"))?;
-    let (fields, error) = match rest.split_once(" error=") {
-        Some((f, e)) => (f, Some(e.to_string())),
-        None => (rest, None),
-    };
-    let mut tenant = None;
-    let mut granted = None;
-    let mut arcs = Vec::new();
-    for field in fields.split_whitespace() {
-        let (key, value) = field
-            .split_once('=')
-            .ok_or_else(|| format!("bad field `{field}`"))?;
-        match key {
-            "tenant" => tenant = Some(value.parse().map_err(|_| "bad tenant".to_string())?),
-            "granted" => granted = Some(value.parse().map_err(|_| "bad granted".to_string())?),
-            "arcs" => {
-                for part in value.split(',').filter(|p| !p.is_empty()) {
-                    let (start, len) = part
-                        .split_once('+')
-                        .ok_or_else(|| format!("bad arc `{part}`"))?;
-                    let start: u128 = start.parse().map_err(|_| "bad arc start".to_string())?;
-                    let len: u128 = len.parse().map_err(|_| "bad arc len".to_string())?;
-                    // Validate before constructing: `Arc::new` asserts on
-                    // these, and a garbled reply (or a client whose
-                    // `space` mismatches the server's) must surface as an
-                    // error, not a panic.
-                    if start >= space.size() || len < 1 || len > space.size() {
-                        return Err(format!("arc `{part}` does not fit universe {space}"));
-                    }
-                    arcs.push(Arc::new(space, Id(start), len));
-                }
-            }
-            other => return Err(format!("unknown lease field `{other}`")),
-        }
-    }
-    Ok(WireLease {
-        tenant: tenant.ok_or("missing tenant")?,
-        granted: granted.ok_or("missing granted")?,
-        arcs,
-        error,
-    })
-}
-
 /// A service summary as it crosses the wire: the aggregate totals of a
-/// [`ServiceReport`] — the same typed [`uuidp_client::Summary`] the v2
-/// binary client returns. Per-thread audit detail stays server-side;
-/// the wire carries the merged view (which is why an [`AuditReport`]
-/// rebuilt from this has an empty `per_thread`).
+/// [`ServiceReport`], as the typed [`uuidp_client::Summary`] the v2
+/// client returns. Per-thread audit detail stays server-side; the wire
+/// carries the merged view (which is why an [`AuditReport`] rebuilt
+/// from this has an empty `per_thread`).
 ///
 /// [`AuditReport`]: crate::service::AuditReport
 pub type WireSummary = uuidp_client::Summary;
 
 /// Projects a [`ServiceReport`] onto its wire summary — the one place
-/// the numbers are chosen, so the v1 `bye` line and the v2 summary
-/// frame can never disagree about the same shutdown.
+/// the numbers are chosen, so the live summary frame and the shutdown
+/// summary frame can never count differently.
 pub fn wire_summary(report: &ServiceReport) -> WireSummary {
     WireSummary {
         issued_ids: report.issued_ids,
@@ -186,96 +137,16 @@ pub fn wire_summary(report: &ServiceReport) -> WireSummary {
     }
 }
 
-/// Renders the one-line `bye …` shutdown summary.
-pub fn render_summary(report: &ServiceReport) -> String {
-    let s = wire_summary(report);
-    format!(
-        "bye issued={} leases={} errors={} p50_ns={:.1} p99_ns={:.1} p999_ns={:.1} \
-         mean_ns={:.1} dup={} flagged={} rec_ids={} rec_arcs={} records={} max_lag_ns={} \
-         mean_lag_ns={:.1} audit_threads={}",
-        s.issued_ids,
-        s.leases,
-        s.errors,
-        s.p50_ns,
-        s.p99_ns,
-        s.p999_ns,
-        s.mean_ns,
-        s.duplicate_ids,
-        s.flagged_records,
-        s.recorded_ids,
-        s.recorded_arcs,
-        s.records,
-        s.max_lag_ns,
-        s.mean_lag_ns,
-        s.audit_threads,
-    )
-}
-
-/// Parses a [`render_summary`] line.
-pub fn parse_summary(line: &str) -> Result<WireSummary, String> {
-    let rest = line
-        .strip_prefix("bye ")
-        .ok_or_else(|| format!("not a shutdown summary: `{line}`"))?;
-    let mut summary = WireSummary {
-        issued_ids: 0,
-        leases: 0,
-        errors: 0,
-        p50_ns: 0.0,
-        p99_ns: 0.0,
-        p999_ns: 0.0,
-        mean_ns: 0.0,
-        duplicate_ids: 0,
-        flagged_records: 0,
-        recorded_ids: 0,
-        recorded_arcs: 0,
-        records: 0,
-        max_lag_ns: 0,
-        mean_lag_ns: 0.0,
-        audit_threads: 0,
-    };
-    let mut seen = 0u32;
-    for field in rest.split_whitespace() {
-        let (key, value) = field
-            .split_once('=')
-            .ok_or_else(|| format!("bad field `{field}`"))?;
-        let bad = |what: &str| format!("bad {what} `{value}`");
-        seen += 1;
-        match key {
-            "issued" => summary.issued_ids = value.parse().map_err(|_| bad(key))?,
-            "leases" => summary.leases = value.parse().map_err(|_| bad(key))?,
-            "errors" => summary.errors = value.parse().map_err(|_| bad(key))?,
-            "p50_ns" => summary.p50_ns = value.parse().map_err(|_| bad(key))?,
-            "p99_ns" => summary.p99_ns = value.parse().map_err(|_| bad(key))?,
-            "p999_ns" => summary.p999_ns = value.parse().map_err(|_| bad(key))?,
-            "mean_ns" => summary.mean_ns = value.parse().map_err(|_| bad(key))?,
-            "dup" => summary.duplicate_ids = value.parse().map_err(|_| bad(key))?,
-            "flagged" => summary.flagged_records = value.parse().map_err(|_| bad(key))?,
-            "rec_ids" => summary.recorded_ids = value.parse().map_err(|_| bad(key))?,
-            "rec_arcs" => summary.recorded_arcs = value.parse().map_err(|_| bad(key))?,
-            "records" => summary.records = value.parse().map_err(|_| bad(key))?,
-            "max_lag_ns" => summary.max_lag_ns = value.parse().map_err(|_| bad(key))?,
-            "mean_lag_ns" => summary.mean_lag_ns = value.parse().map_err(|_| bad(key))?,
-            "audit_threads" => summary.audit_threads = value.parse().map_err(|_| bad(key))?,
-            other => return Err(format!("unknown summary field `{other}`")),
-        }
-    }
-    if seen < 15 {
-        return Err(format!("summary has {seen} of 15 fields: `{line}`"));
-    }
-    Ok(summary)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::LatencyHistogram;
     use crate::service::AuditReport;
     use std::time::Duration;
+    use uuidp_client::frame::{decode_frame, encode_frame, FrameBody};
+    use uuidp_core::id::{Id, IdSpace};
+    use uuidp_core::interval::Arc;
     use uuidp_sim::audit::AuditCounts;
-
-    fn space() -> IdSpace {
-        IdSpace::with_bits(32).unwrap()
-    }
 
     #[test]
     fn commands_parse_the_whole_grammar() {
@@ -310,7 +181,16 @@ mod tests {
 
     #[test]
     fn lease_lines_round_trip() {
-        let s = space();
+        // A lease command line in, the served lease's reply line out:
+        // arcs as `start+len` in emission order.
+        assert_eq!(
+            Command::parse("lease 9 57").unwrap(),
+            Some(Command::Lease {
+                tenant: 9,
+                count: 57
+            })
+        );
+        let s = IdSpace::with_bits(32).unwrap();
         let reply = LeaseReply {
             tenant: 9,
             arcs: vec![Arc::new(s, Id(100), 50), Arc::new(s, Id(4000), 7)],
@@ -318,17 +198,14 @@ mod tests {
             error: None,
             halted: false,
         };
-        let line = render_lease(&reply);
-        let wire = parse_lease_line(&line, s).unwrap();
-        assert_eq!(wire.tenant, 9);
-        assert_eq!(wire.granted, 57);
-        assert_eq!(wire.arcs, reply.arcs);
-        assert_eq!(wire.error, None);
+        assert_eq!(
+            render_lease(&reply),
+            "lease tenant=9 granted=57 arcs=100+50,4000+7"
+        );
     }
 
     #[test]
     fn lease_lines_carry_errors_and_empty_arcs() {
-        let s = space();
         let reply = LeaseReply {
             tenant: 1,
             arcs: vec![],
@@ -337,23 +214,10 @@ mod tests {
             halted: false,
         };
         let line = render_lease(&reply);
-        let wire = parse_lease_line(&line, s).unwrap();
-        assert_eq!(wire.granted, 0);
-        assert!(wire.arcs.is_empty());
-        assert!(wire.error.is_some(), "error lost: {line}");
-    }
-
-    #[test]
-    fn garbled_arcs_error_instead_of_panicking() {
-        let s = IdSpace::with_bits(16).unwrap(); // m = 65536
-        for bad in [
-            "lease tenant=1 granted=5 arcs=0+0",      // zero length
-            "lease tenant=1 granted=5 arcs=70000+5",  // start outside m
-            "lease tenant=1 granted=5 arcs=0+100000", // len exceeds m
-        ] {
-            let err = parse_lease_line(bad, s).unwrap_err();
-            assert!(err.contains("does not fit"), "{bad}: {err}");
-        }
+        assert!(
+            line.starts_with("lease tenant=1 granted=0 arcs= error="),
+            "{line}"
+        );
     }
 
     #[test]
@@ -380,8 +244,15 @@ mod tests {
             },
             uptime: Duration::from_secs(1),
         };
-        let line = render_summary(&report);
-        let wire = parse_summary(&line).unwrap();
+        // Projected once, then carried through a v2 summary frame.
+        let summary = wire_summary(&report);
+        let bytes = encode_frame(4, &FrameBody::SummaryResp(summary));
+        let (frame, used) = decode_frame(&bytes).unwrap().expect("a whole frame");
+        assert_eq!(used, bytes.len());
+        let FrameBody::SummaryResp(wire) = frame.body else {
+            panic!("expected a summary frame, got {:?}", frame.body);
+        };
+        assert_eq!(wire, summary);
         assert_eq!(wire.issued_ids, 12345);
         assert_eq!(wire.leases, 67);
         assert_eq!(wire.errors, 1);
@@ -390,7 +261,5 @@ mod tests {
         assert_eq!(wire.max_lag_ns, 5555);
         assert!((wire.mean_lag_ns - 1234.5).abs() < 0.1);
         assert!(wire.p99_ns >= wire.p50_ns);
-        assert!(parse_summary("bye issued=1").is_err(), "truncated summary");
-        assert!(parse_summary("nope").is_err());
     }
 }

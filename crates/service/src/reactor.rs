@@ -1,6 +1,6 @@
-//! The readiness-driven v2 I/O core.
+//! The readiness-driven I/O core of the v2 front-end.
 //!
-//! One reactor thread owns **all** v2 connection state (the single-
+//! One reactor thread owns **all** connection state (the single-
 //! actor ownership shape of holochain's `kitsune_p2p` event loops):
 //! sockets, reassembly buffers, and per-connection reply queues all
 //! live here, and every other thread talks to the reactor exclusively
@@ -37,7 +37,9 @@
 //! carries the frame's last byte returns. A peer that stops reading
 //! accumulates queued replies until [`MAX_OUT_QUEUE`] and is then
 //! severed — queued-reply backpressure replaces the old lock-held
-//! spin/sleep send.
+//! spin/sleep send. A peer whose first bytes are not a v2 frame fails
+//! the decoder's magic check and is severed with a fatal error frame,
+//! like any other framing violation.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read as _, Write as _};
@@ -45,7 +47,6 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 #[cfg(all(target_os = "linux", not(feature = "poll-fallback")))]
@@ -55,9 +56,8 @@ use uuidp_client::frame;
 use uuidp_core::clock;
 use uuidp_obs::{AtomicHistogram, Counter, Gauge, Stage};
 
-use crate::net::{dispatch_frame, handle_v1_connection, CtrlJob, Disposition, ServerState, V2Conn};
+use crate::net::{dispatch_frame, CtrlJob, Disposition, ServerState, V2Conn};
 use crate::reassembly::{BufPool, ReadBuf};
-use crate::service::ServiceReport;
 #[cfg(all(target_os = "linux", not(feature = "poll-fallback")))]
 use crate::sys;
 
@@ -69,8 +69,6 @@ const FRAME_CAP: usize = 128;
 const MAX_OUT_QUEUE: usize = 64 * 1024 * 1024;
 /// Reply buffers coalesced into one vectored write.
 const MAX_IOV: usize = 64;
-/// Poll timeout while finished v1 handler threads await reaping.
-const V1_REAP_MS: i32 = 100;
 /// The poller token reserved for the epoll waker's eventfd.
 #[cfg(all(target_os = "linux", not(feature = "poll-fallback")))]
 const WAKER_TOKEN: u64 = u64::MAX;
@@ -451,8 +449,6 @@ struct NetConn {
     rbuf: Option<ReadBuf>,
     out: VecDeque<OutFrame>,
     out_bytes: usize,
-    /// First byte seen and judged to be v2.
-    sniffed: bool,
     hello_done: bool,
     /// Write interest currently armed with the poller.
     write_interest: bool,
@@ -474,9 +470,6 @@ enum Fate {
     Remove {
         farewell: Option<Vec<u8>>,
     },
-    /// First byte says v1: hand socket + buffered prefix to a blocking
-    /// line-protocol handler thread.
-    HandOffV1(Vec<u8>),
 }
 
 /// Everything `bind_with` wires into the reactor thread.
@@ -486,9 +479,6 @@ pub(crate) struct ReactorSeed {
     pub cmd_rx: Receiver<ReactorCmd>,
     pub handle: ReactorHandle,
     pub ctrl_tx: SyncSender<CtrlJob>,
-    pub accept_v2: bool,
-    pub report_tx: SyncSender<ServiceReport>,
-    pub local_addr: std::net::SocketAddr,
 }
 
 /// The reactor: see the module docs for the full shape.
@@ -498,9 +488,6 @@ pub(crate) struct Reactor {
     cmd_rx: Receiver<ReactorCmd>,
     handle: ReactorHandle,
     ctrl_tx: SyncSender<CtrlJob>,
-    accept_v2: bool,
-    report_tx: SyncSender<ServiceReport>,
-    local_addr: std::net::SocketAddr,
     conns: HashMap<u64, NetConn>,
     /// Connections holding complete-but-undispatched frames (hit the
     /// per-pass frame cap); pumped again next pass with a 0 timeout.
@@ -509,11 +496,9 @@ pub(crate) struct Reactor {
     dirty: Vec<u64>,
     pool: BufPool,
     scratch: Vec<u8>,
-    v1_handlers: Vec<JoinHandle<()>>,
     pass: u64,
     wakeups: Arc<Counter>,
     replies_per_syscall: Arc<AtomicHistogram>,
-    v1_live: Arc<Gauge>,
     /// Reply bytes queued across all connections, awaiting flush.
     out_queue: Arc<Gauge>,
     /// Connections the reactor severed (backpressure cap, dead write,
@@ -526,7 +511,6 @@ impl Reactor {
         let registry = &seed.state.registry;
         let wakeups = registry.counter("uuidp_net_wakeups_total");
         let replies_per_syscall = registry.histogram("uuidp_net_replies_per_syscall");
-        let v1_live = registry.gauge("uuidp_net_v1_handlers_live");
         let out_queue = registry.gauge("uuidp_net_out_queue_bytes");
         let severed = registry.counter("uuidp_net_severed_total");
         Reactor {
@@ -535,19 +519,14 @@ impl Reactor {
             cmd_rx: seed.cmd_rx,
             handle: seed.handle,
             ctrl_tx: seed.ctrl_tx,
-            accept_v2: seed.accept_v2,
-            report_tx: seed.report_tx,
-            local_addr: seed.local_addr,
             conns: HashMap::new(),
             backlog: Vec::new(),
             dirty: Vec::new(),
             pool: BufPool::new(),
             scratch: vec![0u8; 16 * 1024],
-            v1_handlers: Vec::new(),
             pass: 0,
             wakeups,
             replies_per_syscall,
-            v1_live,
             out_queue,
             severed,
         }
@@ -557,12 +536,10 @@ impl Reactor {
     pub(crate) fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
         loop {
-            let timeout = if !self.backlog.is_empty() {
-                0 // parked frames to dispatch: come straight back
-            } else if !self.v1_handlers.is_empty() {
-                V1_REAP_MS // finished v1 handlers want reaping
-            } else {
+            let timeout = if self.backlog.is_empty() {
                 -1 // idle: block until a socket or a command stirs
+            } else {
+                0 // parked frames to dispatch: come straight back
             };
             self.poller.wait(&mut events, timeout);
             self.wakeups.inc();
@@ -570,7 +547,6 @@ impl Reactor {
             if self.drain_cmds() {
                 break;
             }
-            self.reap_v1();
             // Pump: readiness first, then the parked backlog.
             let parked = std::mem::take(&mut self.backlog);
             for ev in &events {
@@ -654,7 +630,6 @@ impl Reactor {
                 rbuf: None,
                 out: VecDeque::new(),
                 out_bytes: 0,
-                sniffed: false,
                 hello_done: false,
                 write_interest: false,
                 pumped_pass: 0,
@@ -699,16 +674,6 @@ impl Reactor {
         }
     }
 
-    /// Reaps finished v1 handler threads (the old demux held every
-    /// JoinHandle until shutdown — one leak per v1 connection).
-    fn reap_v1(&mut self) {
-        if self.v1_handlers.is_empty() {
-            return;
-        }
-        self.v1_handlers.retain(|h| !h.is_finished());
-        self.v1_live.set(self.v1_handlers.len() as i64);
-    }
-
     fn pump(&mut self, conn_id: u64) {
         let Some(mut conn) = self.conns.remove(&conn_id) else {
             return;
@@ -731,7 +696,6 @@ impl Reactor {
                 }
                 self.dispose(conn);
             }
-            Fate::HandOffV1(prefix) => self.handoff_v1(conn, prefix),
         }
     }
 
@@ -747,21 +711,6 @@ impl Reactor {
                 }
                 Ok(n) => {
                     read_bytes += n;
-                    if !conn.sniffed {
-                        // First bytes ever: negotiate the protocol.
-                        if self.scratch[0] != frame::MAGIC[0] {
-                            return Fate::HandOffV1(self.scratch[..n].to_vec());
-                        }
-                        conn.sniffed = true;
-                        if !self.accept_v2 {
-                            return Fate::Remove {
-                                farewell: Some(error_frame(
-                                    0,
-                                    "protocol v2 is disabled on this listener",
-                                )),
-                            };
-                        }
-                    }
                     let pool = &mut self.pool;
                     let rbuf = conn.rbuf.get_or_insert_with(|| pool.get());
                     rbuf.extend(&self.scratch[..n]);
@@ -932,42 +881,13 @@ impl Reactor {
         }
     }
 
-    /// Hands a sniffed-as-v1 connection to a blocking handler thread.
-    fn handoff_v1(&mut self, conn: NetConn, prefix: Vec<u8>) {
-        self.poller.deregister(&conn.stream, conn.conn_id);
-        // Blocking reads can only be unblocked by a stored write half —
-        // store one (and bail if a shutdown races the promotion).
-        if !self.state.promote_v1(conn.conn_id, &conn.stream) {
-            if let Some(rbuf) = conn.rbuf {
-                self.pool.put(rbuf);
-            }
-            return;
-        }
-        // Back to blocking: the v1 handler thread owns it now.
-        let _ = conn.stream.set_nonblocking(false);
-        let state = Arc::clone(&self.state);
-        let report_tx = self.report_tx.clone();
-        let local_addr = self.local_addr;
-        let conn_id = conn.conn_id;
-        let stream = conn.stream;
-        self.v1_handlers.push(std::thread::spawn(move || {
-            handle_v1_connection(stream, conn_id, prefix, state, report_tx, local_addr);
-        }));
-        self.v1_live.set(self.v1_handlers.len() as i64);
-    }
-
     /// The abrupt exit every stop path funnels into: pending flush acks
-    /// fail, connections drop (the stop path already severed the
-    /// registered write halves), v1 handlers are joined out.
+    /// fail and every connection is severed.
     fn finish(mut self) {
         let conns: Vec<NetConn> = self.conns.drain().map(|(_, c)| c).collect();
         for conn in conns {
             self.dispose(conn);
         }
-        for handle in self.v1_handlers.drain(..) {
-            let _ = handle.join();
-        }
-        self.v1_live.set(0);
     }
 }
 

@@ -578,11 +578,14 @@ impl IdService {
     /// [`IdGenerator::reset`] under a fresh seed). The audit treats the
     /// new epoch as a new owner, so pre/post-reset overlap is flagged.
     ///
+    /// Returns `false` when the tenant's shard worker has died, so a
+    /// remote reset gets a typed error instead of a panic.
+    ///
     /// [`IdGenerator::reset`]: uuidp_core::traits::IdGenerator::reset
-    pub fn reset_tenant(&self, tenant: u64) {
+    pub fn reset_tenant(&self, tenant: u64) -> bool {
         self.shard_of(tenant)
             .send(ShardMsg::Reset { tenant })
-            .expect("shard alive");
+            .is_ok()
     }
 
     /// Sends one `make(done)` message to every shard, then waits for

@@ -19,26 +19,27 @@
 //!
 //! The driver is transport-generic: every mix runs against a
 //! [`StressTarget`], either the in-process [`IdService`]
-//! ([`run_stress`]) or a loopback TCP server through the real
-//! [`RemoteClient`] socket path ([`run_stress_remote`]) — and because
-//! the audit totals are interleaving-invariant, the two transports must
+//! ([`run_stress`]) or a loopback TCP server through the real v2
+//! [`Client`] socket path ([`run_stress_remote`]) — and because the
+//! audit totals are interleaving-invariant, the two transports must
 //! report identical issued/duplicate counts for the same seed and mix.
 //!
-//! Remote runs can fan the client side out: with `remote_workers > 1`
-//! the driver keeps a pool of worker threads, **each owning one
-//! persistent connection for the whole run** ([`PooledRemoteTarget`]).
-//! Tenants are pinned to pool workers (`tenant % workers`), so every
+//! The socket side is one [`RemoteTarget`]: `remote_workers ≥ 1` worker
+//! threads, each owning one lazily dialed connection for the whole run.
+//! Tenants are pinned to workers (`tenant % workers`), so every
 //! tenant's requests stay FIFO on one connection and the totals remain
-//! bit-identical to the single-connection and in-process paths. Against
-//! the thread-per-connection server this bounds the server's thread
-//! count at `workers` for the entire run — connection reuse instead of
-//! connection churn.
+//! bit-identical to the in-process path at every width. Each worker
+//! dials its own connection, so a severed connection never takes the
+//! whole pool down (one connection multiplexing many threads is pinned
+//! by the `net` tests instead).
 //!
-//! Chaos runs ([`StressConfig::chaos`]) interpose a deterministic
-//! [`ChaosProxy`] between the client pool and the server and swap the
-//! fail-fast targets for a retrying one ([`ChaosRemoteTarget`]): every
-//! request failure is classified (retry-safe / lease-in-doubt / fatal),
-//! retried under a seeded [`RetryPolicy`], and accounted into the
+//! Every request runs inside the same classified-retry loop: a failure
+//! is classified (retry-safe / lease-in-doubt / fatal), counted, and
+//! retried under the run's [`RetryPolicy`]. A clean run uses
+//! [`RetryPolicy::none`], and [`run_stress_remote`] fails on any
+//! observed fault. Chaos runs ([`StressConfig::chaos`]) put a
+//! deterministic [`ChaosProxy`] between the workers and the server and
+//! retry under a seeded policy, accounting every fault into the
 //! report's SLO section. The shutdown that yields the authoritative
 //! totals travels over the proxy in passthrough mode, so the report
 //! itself is never a casualty of the faults it describes.
@@ -61,12 +62,12 @@ use uuidp_core::id::{Id, IdSpace};
 use uuidp_core::interval::Arc;
 use uuidp_core::rng::{SeedDomain, SeedTree};
 
-use uuidp_client::{ProtoVersion, RetryPolicy};
+use uuidp_client::{Client, ClientOptions, RetryPolicy};
 use uuidp_netchaos::{schedule_fingerprint, ChaosProxy, ChaosSpec, FaultCounts};
 use uuidp_obs::{SlowLease, Snapshot, TailSampler, TimeSeries};
 
 use crate::metrics::FaultCounters;
-use crate::net::{DialedClient, RemoteClient, ServerOptions, TcpServer};
+use crate::net::{ServerOptions, TcpServer};
 use crate::protocol::WireSummary;
 use crate::reactor::NetBackend;
 use crate::service::{AuditReport, IdService, ServiceConfig, ServiceReport};
@@ -145,14 +146,9 @@ pub struct StressConfig {
     pub count: u128,
     /// Traffic shape.
     pub mix: TrafficMix,
-    /// Client-side pool width for remote runs: worker threads, each
-    /// with one persistent connection reused for the whole run. `1`
-    /// keeps the classic single-connection driver.
+    /// Client-side width for remote runs: worker threads, each with one
+    /// persistent v2 connection reused for the whole run.
     pub remote_workers: usize,
-    /// Which wire protocol remote runs speak: the v1 text line protocol
-    /// (one connection per pool worker) or the v2 binary framed
-    /// protocol, where the whole pool **multiplexes one connection**.
-    pub protocol: ProtoVersion,
     /// Fault schedule for remote runs: when set, a [`ChaosProxy`] built
     /// from this spec and [`StressConfig::chaos_seed`] sits between the
     /// clients and the server, and the driver switches to classified
@@ -162,7 +158,7 @@ pub struct StressConfig {
     /// seed replays the same fault schedule bit-for-bit.
     pub chaos_seed: u64,
     /// Scrape the metric registry during remote runs: a sidecar thread
-    /// scrapes the server over its own v1 connection while load flows
+    /// scrapes the server over its own connection while load flows
     /// (asserting the required families are present and every counter
     /// is monotone scrape-over-scrape), and the report gains the final
     /// server-side family values. Ignored by in-process runs.
@@ -185,7 +181,6 @@ impl StressConfig {
             count,
             mix: TrafficMix::Uniform,
             remote_workers: 1,
-            protocol: ProtoVersion::V1,
             chaos: None,
             chaos_seed: 0,
             scrape: false,
@@ -218,8 +213,8 @@ pub struct MetricsReport {
     pub families: std::collections::BTreeMap<String, f64>,
 }
 
-/// The scrape sidecar: one dedicated v1 connection hammering `metrics`
-/// while the run is live. Every scrape asserts the [`REQUIRED_FAMILIES`]
+/// The scrape sidecar: one dedicated connection hammering metrics
+/// scrapes while the run is live. Every scrape asserts the [`REQUIRED_FAMILIES`]
 /// are present and that no counter family went backwards — the
 /// monotonicity half of the export-surface contract — and is ingested
 /// into a bounded [`TimeSeries`] ring (one window per scrape), so the
@@ -231,7 +226,8 @@ fn spawn_wire_scraper(addr: SocketAddr, space: IdSpace) -> JoinHandle<(u64, Time
         let mut scrapes = 0u64;
         let mut series = TimeSeries::new(1, 64);
         let mut last: std::collections::BTreeMap<String, f64> = Default::default();
-        let Ok(mut client) = RemoteClient::connect_with(addr, space, Some(CHAOS_TIMEOUT)) else {
+        let Ok(client) = Client::connect_with(addr, space, ClientOptions::bounded(CHAOS_TIMEOUT))
+        else {
             return (0, series); // raced the shutdown before the first scrape
         };
         loop {
@@ -273,14 +269,14 @@ pub trait StressTarget {
     fn space(&self) -> IdSpace;
     /// Synchronously leases `count` IDs and returns the granted arcs.
     fn lease_arcs(&mut self, tenant: u64, count: u128) -> Vec<Arc>;
-    /// Lease-shaped load where the reply is not needed. (A remote
-    /// target still reads the reply to keep the line protocol in sync,
-    /// which is why this takes `&mut self`.)
+    /// Lease-shaped load where the reply is not needed (a remote
+    /// target still waits for it, off the caller's thread).
     fn issue(&mut self, tenant: u64, count: u128);
     /// Blocks until every submitted request has been processed.
     fn drain(&mut self);
     /// Shuts the target down and returns its aggregate accounting.
-    fn finish(self) -> TargetReport;
+    /// Errs only when a remote target cannot deliver its shutdown.
+    fn finish(self) -> io::Result<TargetReport>;
 }
 
 /// The shutdown accounting a [`StressTarget`] hands back: the subset of
@@ -389,20 +385,17 @@ impl StressTarget for LocalTarget {
         self.service.drain();
     }
 
-    fn finish(self) -> TargetReport {
-        self.service.shutdown().into()
+    fn finish(self) -> io::Result<TargetReport> {
+        Ok(self.service.shutdown().into())
     }
 }
 
-/// Fills in wire-fetched timelines for a sampler's retained leases.
-/// Only v2 samples carry a real corr id; everything else keeps its
-/// empty story (and an evicted span comes back empty too).
-fn fetch_timelines(client: &mut DialedClient, tail: &mut TailSampler) {
+/// Fills in wire-fetched timelines for a sampler's retained leases (an
+/// evicted span comes back empty, a failed fetch keeps its empty story).
+fn fetch_timelines(client: &Client, tail: &mut TailSampler) {
     for s in tail.worst_mut() {
-        if s.corr != 0 {
-            if let Ok(text) = client.timeline(s.corr) {
-                s.timeline = text;
-            }
+        if let Ok(text) = client.timeline(s.corr) {
+            s.timeline = text;
         }
     }
 }
@@ -414,28 +407,195 @@ fn elapsed_ns(started_ns: u64) -> u64 {
     clock::monotonic_ns().saturating_sub(started_ns)
 }
 
-/// The socket target: one [`DialedClient`] (either protocol) driving a
-/// TCP front-end. The report comes from the wire summary, so the whole
-/// client code path — not just the traffic — is exercised.
-pub struct RemoteTarget {
-    client: DialedClient,
+/// A lazily dialed v2 [`Client`] wrapped in classified retries: every
+/// failure is observed into a [`FaultCounters`], the (possibly
+/// poisoned) connection is replaced, and the request is retried under
+/// the [`RetryPolicy`] until it succeeds or the budget is exhausted.
+///
+/// Retrying a lease-in-doubt failure is deliberate and *correct* for
+/// this service: the generator never re-emits an ID, so the retried
+/// lease yields fresh IDs and the abandoned grant merely leaks
+/// server-side — leak-not-duplicate, pinned by the global audit.
+struct ResilientClient {
+    addr: SocketAddr,
     space: IdSpace,
-    tail: TailSampler,
+    options: ClientOptions,
+    policy: RetryPolicy,
+    client: Option<Client>,
+    ever_connected: bool,
+    faults: FaultCounters,
+}
+
+impl ResilientClient {
+    fn new(addr: SocketAddr, space: IdSpace, options: ClientOptions, policy: RetryPolicy) -> Self {
+        ResilientClient {
+            addr,
+            space,
+            options,
+            policy,
+            client: None,
+            ever_connected: false,
+            faults: FaultCounters::default(),
+        }
+    }
+
+    fn client(&mut self) -> io::Result<&Client> {
+        if self.client.is_none() {
+            let dialed = Client::connect_with(self.addr, self.space, self.options)?;
+            if self.ever_connected {
+                self.faults.reconnects += 1;
+            }
+            self.ever_connected = true;
+            self.client = Some(dialed);
+        }
+        Ok(self.client.as_ref().expect("just dialed"))
+    }
+
+    /// Runs `f` against a live connection, retrying per the policy.
+    /// Returns the last error when the retry budget is exhausted (the
+    /// request is abandoned and counted against the error budget).
+    fn attempt<T>(&mut self, mut f: impl FnMut(&Client) -> io::Result<T>) -> io::Result<T> {
+        let mut attempt = 0;
+        loop {
+            let e = match self.client().and_then(&mut f) {
+                Ok(v) => return Ok(v),
+                Err(e) => e,
+            };
+            self.faults.observe(&e);
+            // Any failure poisons the connection (a timed-out request's
+            // late reply must never be read as the next request's
+            // answer): replace it.
+            self.client = None;
+            if !self.policy.allows(attempt) {
+                self.faults.exhausted += 1;
+                return Err(e);
+            }
+            self.faults.retries += 1;
+            std::thread::sleep(self.policy.delay(attempt));
+            attempt += 1;
+        }
+    }
+}
+
+/// One unit of work routed to a worker.
+enum WorkerMsg {
+    /// A lease; with `reply`, the worker ships the granted arcs back
+    /// (empty when the lease was abandoned).
+    Lease {
+        tenant: u64,
+        count: u128,
+        reply: Option<SyncSender<Vec<Arc>>>,
+    },
+    /// Ack once every prior message on this worker is fully replied.
+    Barrier { done: SyncSender<()> },
+    /// Issue a protocol-level drain on this worker's connection.
+    Drain { done: SyncSender<()> },
+}
+
+/// A worker: serves its queue over its one connection, then hands back
+/// its fault ledger and worst-lease samples when the queue closes.
+/// Latency is measured around the whole attempt — retries and backoff
+/// included — because that is what the caller experienced.
+fn conn_worker(
+    mut client: ResilientClient,
+    rx: Receiver<WorkerMsg>,
+) -> (FaultCounters, TailSampler) {
+    let mut tail = TailSampler::new(TAIL_SAMPLES, 0);
+    while let Ok(msg) = rx.recv() {
+        match msg {
+            WorkerMsg::Lease {
+                tenant,
+                count,
+                reply,
+            } => {
+                let started = clock::monotonic_ns();
+                let arcs = match client.attempt(|c| c.lease_with_corr(tenant, count)) {
+                    Ok((lease, corr)) => {
+                        tail.offer(corr, tenant, 0, elapsed_ns(started));
+                        lease.arcs
+                    }
+                    Err(_) => Vec::new(),
+                };
+                if let Some(reply) = reply {
+                    let _ = reply.send(arcs);
+                }
+            }
+            WorkerMsg::Barrier { done } => {
+                let _ = done.send(());
+            }
+            WorkerMsg::Drain { done } => {
+                let _ = client.attempt(|c| c.drain());
+                let _ = done.send(());
+            }
+        }
+    }
+    (client.faults, tail)
+}
+
+/// The socket target: `width ≥ 1` worker threads driving a TCP
+/// front-end, each owning one lazily dialed v2 connection inside the
+/// classified-retry loop. Requests are pinned to workers by
+/// `tenant % width`, preserving each tenant's request order (and
+/// therefore the run's deterministic totals). The report comes from
+/// the wire summary, so the whole client code path — not just the
+/// traffic — is exercised.
+///
+/// With a [`ChaosProxy`], every dial goes through it and every blocking
+/// phase is bounded by [`CHAOS_TIMEOUT`]; the proxy is switched to
+/// passthrough before the closing dial.
+pub struct RemoteTarget {
+    space: IdSpace,
+    addr: SocketAddr,
+    options: ClientOptions,
+    proxy: Option<SyncArc<ChaosProxy>>,
+    txs: Vec<SyncSender<WorkerMsg>>,
+    workers: Vec<JoinHandle<(FaultCounters, TailSampler)>>,
 }
 
 impl RemoteTarget {
-    /// Connects to a front-end serving `space` at `addr`, speaking
-    /// `protocol`.
-    pub fn connect(
-        addr: std::net::SocketAddr,
+    /// Starts `width ≥ 1` workers against the front-end at `addr` (or
+    /// through `proxy`, when set). Connections are lazy — each worker's
+    /// first request dials, inside the retry loop, so a refused
+    /// connection window is survivable.
+    pub fn start(
+        addr: SocketAddr,
         space: IdSpace,
-        protocol: ProtoVersion,
-    ) -> io::Result<RemoteTarget> {
-        Ok(RemoteTarget {
-            client: DialedClient::connect(addr, space, protocol)?,
+        width: usize,
+        policy: RetryPolicy,
+        proxy: Option<SyncArc<ChaosProxy>>,
+    ) -> RemoteTarget {
+        let (addr, options) = match &proxy {
+            Some(proxy) => (proxy.addr(), ClientOptions::bounded(CHAOS_TIMEOUT)),
+            None => (addr, ClientOptions::default()),
+        };
+        let width = width.max(1);
+        let mut txs = Vec::with_capacity(width);
+        let mut workers = Vec::with_capacity(width);
+        for worker in 0..width {
+            // Distinct jitter streams per worker, still seed-determined.
+            let policy = RetryPolicy {
+                seed: policy.seed ^ (worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                ..policy
+            };
+            let client = ResilientClient::new(addr, space, options, policy);
+            let (tx, rx) = sync_channel::<WorkerMsg>(1024);
+            txs.push(tx);
+            workers.push(std::thread::spawn(move || conn_worker(client, rx)));
+        }
+        RemoteTarget {
             space,
-            tail: TailSampler::new(TAIL_SAMPLES, 0),
-        })
+            addr,
+            options,
+            proxy,
+            txs,
+            workers,
+        }
+    }
+
+    fn send(&self, tenant: u64, msg: WorkerMsg) {
+        self.txs[(tenant % self.txs.len() as u64) as usize]
+            .send(msg)
+            .expect("stress worker alive");
     }
 }
 
@@ -445,503 +605,85 @@ impl StressTarget for RemoteTarget {
     }
 
     fn lease_arcs(&mut self, tenant: u64, count: u128) -> Vec<Arc> {
-        let started = clock::monotonic_ns();
-        let (lease, corr) = self
-            .client
-            .lease_with_corr(tenant, count)
-            .expect("remote stress lease i/o");
-        self.tail.offer(corr, tenant, 0, elapsed_ns(started));
-        lease.arcs
+        let (reply, rx) = sync_channel(1);
+        self.send(
+            tenant,
+            WorkerMsg::Lease {
+                tenant,
+                count,
+                reply: Some(reply),
+            },
+        );
+        rx.recv().expect("stress worker replies")
     }
 
     fn issue(&mut self, tenant: u64, count: u128) {
-        // Same wire path as a lease; the reply is read (keeping the
-        // request/reply accounting in sync) and dropped.
-        let started = clock::monotonic_ns();
-        let (_, corr) = self
-            .client
-            .lease_with_corr(tenant, count)
-            .expect("remote stress issue i/o");
-        self.tail.offer(corr, tenant, 0, elapsed_ns(started));
+        self.send(
+            tenant,
+            WorkerMsg::Lease {
+                tenant,
+                count,
+                reply: None,
+            },
+        );
     }
 
     fn drain(&mut self) {
-        self.client.drain().expect("remote stress drain i/o");
-    }
-
-    fn finish(self) -> TargetReport {
-        let RemoteTarget {
-            mut client,
-            mut tail,
-            ..
-        } = self;
-        fetch_timelines(&mut client, &mut tail);
-        let mut report: TargetReport = client
-            .shutdown()
-            .expect("remote stress shutdown i/o")
-            .into();
-        report.slow = tail.worst().to_vec();
-        report
-    }
-}
-
-/// One unit of work routed to a pool worker.
-enum PoolMsg {
-    /// Synchronous lease; the worker ships the granted arcs back.
-    Lease {
-        tenant: u64,
-        count: u128,
-        reply: SyncSender<Vec<Arc>>,
-    },
-    /// Lease-shaped load; the worker reads and drops the reply.
-    Issue { tenant: u64, count: u128 },
-    /// Ack once every prior message on this worker is fully replied.
-    Barrier { done: SyncSender<()> },
-    /// Issue a protocol-level drain on this worker's connection.
-    Drain { done: SyncSender<()> },
-}
-
-/// The connection-reuse socket target: `workers` threads, each holding
-/// one persistent [`DialedClient`] for the entire run. Requests are
-/// pinned to workers by `tenant % workers`, preserving each tenant's
-/// request order (and therefore the run's deterministic totals) while
-/// the server sees a fixed, small set of long-lived connections
-/// instead of per-phase or per-request churn.
-///
-/// Under protocol v2 the pool goes one better: every worker holds a
-/// clone of **one multiplexed connection**, so the server sees a single
-/// connection carrying the whole pool's concurrent traffic — `workers`×
-/// fewer sockets at the same request parallelism.
-pub struct PooledRemoteTarget {
-    space: IdSpace,
-    txs: Vec<SyncSender<PoolMsg>>,
-    workers: Vec<JoinHandle<(DialedClient, TailSampler)>>,
-}
-
-/// A pool worker: drains its queue over its one persistent connection
-/// (or connection clone), then hands the still-open client back for the
-/// shutdown step along with its worst-lease samples.
-fn conn_worker(mut client: DialedClient, rx: Receiver<PoolMsg>) -> (DialedClient, TailSampler) {
-    let mut tail = TailSampler::new(TAIL_SAMPLES, 0);
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            PoolMsg::Lease {
-                tenant,
-                count,
-                reply,
-            } => {
-                let started = clock::monotonic_ns();
-                let (lease, corr) = client
-                    .lease_with_corr(tenant, count)
-                    .expect("pooled stress lease i/o");
-                tail.offer(corr, tenant, 0, elapsed_ns(started));
-                let _ = reply.send(lease.arcs);
-            }
-            PoolMsg::Issue { tenant, count } => {
-                // The reply is read (keeping the stream in sync) and
-                // dropped, like the single-connection issue path.
-                let started = clock::monotonic_ns();
-                let (_, corr) = client
-                    .lease_with_corr(tenant, count)
-                    .expect("pooled stress issue i/o");
-                tail.offer(corr, tenant, 0, elapsed_ns(started));
-            }
-            PoolMsg::Barrier { done } => {
-                let _ = done.send(());
-            }
-            PoolMsg::Drain { done } => {
-                client.drain().expect("pooled stress drain i/o");
-                let _ = done.send(());
-            }
-        }
-    }
-    (client, tail)
-}
-
-impl PooledRemoteTarget {
-    /// Starts a pool of `workers ≥ 1` threads against the front-end at
-    /// `addr`: one persistent v1 connection per worker, or `workers`
-    /// clones of a single multiplexed v2 connection.
-    pub fn connect(
-        addr: std::net::SocketAddr,
-        space: IdSpace,
-        workers: usize,
-        protocol: ProtoVersion,
-    ) -> io::Result<PooledRemoteTarget> {
-        let workers = workers.max(1);
-        let shared = match protocol {
-            ProtoVersion::V1 => None,
-            ProtoVersion::V2 => Some(uuidp_client::Client::connect(addr, space)?),
-        };
-        let mut txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let client = match &shared {
-                None => DialedClient::connect(addr, space, ProtoVersion::V1)?,
-                Some(mux) => DialedClient::V2(mux.clone()),
-            };
-            let (tx, rx) = sync_channel::<PoolMsg>(1024);
-            txs.push(tx);
-            handles.push(std::thread::spawn(move || conn_worker(client, rx)));
-        }
-        Ok(PooledRemoteTarget {
-            space,
-            txs,
-            workers: handles,
-        })
-    }
-
-    /// Pool width.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    fn tx_of(&self, tenant: u64) -> &SyncSender<PoolMsg> {
-        &self.txs[(tenant % self.txs.len() as u64) as usize]
-    }
-
-    /// Acks from every worker once all previously routed messages have
-    /// been fully served (each worker reads every reply before taking
-    /// its next message, so an ack implies server-side completion).
-    fn barrier_all(&self) {
+        // Local barrier first (every routed request fully replied),
+        // then one protocol drain so the contract matches the other
+        // targets.
         let barriers: Vec<Receiver<()>> = self
             .txs
             .iter()
             .map(|tx| {
                 let (done, rx) = sync_channel(1);
-                tx.send(PoolMsg::Barrier { done })
-                    .expect("pool worker alive");
+                tx.send(WorkerMsg::Barrier { done })
+                    .expect("stress worker alive");
                 rx
             })
             .collect();
         for rx in barriers {
-            rx.recv().expect("pool worker alive");
-        }
-    }
-}
-
-impl StressTarget for PooledRemoteTarget {
-    fn space(&self) -> IdSpace {
-        self.space
-    }
-
-    fn lease_arcs(&mut self, tenant: u64, count: u128) -> Vec<Arc> {
-        let (reply, rx) = sync_channel(1);
-        self.tx_of(tenant)
-            .send(PoolMsg::Lease {
-                tenant,
-                count,
-                reply,
-            })
-            .expect("pool worker alive");
-        rx.recv().expect("pool worker replies")
-    }
-
-    fn issue(&mut self, tenant: u64, count: u128) {
-        self.tx_of(tenant)
-            .send(PoolMsg::Issue { tenant, count })
-            .expect("pool worker alive");
-    }
-
-    fn drain(&mut self) {
-        // Local barrier first (all pooled requests fully replied), then
-        // one protocol drain so the contract matches the other targets.
-        self.barrier_all();
-        let (done, rx) = sync_channel(1);
-        self.txs[0]
-            .send(PoolMsg::Drain { done })
-            .expect("pool worker alive");
-        rx.recv().expect("pool worker drains");
-    }
-
-    fn finish(self) -> TargetReport {
-        drop(self.txs); // workers exit their loops and return their clients
-        let mut tail = TailSampler::new(TAIL_SAMPLES, 0);
-        let mut clients = Vec::with_capacity(self.workers.len());
-        for handle in self.workers {
-            let (client, worker_tail) = handle.join().expect("pool worker panicked");
-            tail.merge(&worker_tail);
-            clients.push(client);
-        }
-        let mut closer = clients.remove(0);
-        for client in clients {
-            let _ = client.quit();
-        }
-        fetch_timelines(&mut closer, &mut tail);
-        let mut report: TargetReport = closer
-            .shutdown()
-            .expect("pooled stress shutdown i/o")
-            .into();
-        report.slow = tail.worst().to_vec();
-        report
-    }
-}
-
-/// A [`DialedClient`] wrapped in classified retries: every failure is
-/// observed into a [`FaultCounters`], the (possibly poisoned)
-/// connection is replaced, and the request is retried under the seeded
-/// [`RetryPolicy`] until it succeeds or the budget is exhausted.
-///
-/// Retrying a lease-in-doubt failure is deliberate and *correct* for
-/// this service: the generator never re-emits an ID, so the retried
-/// lease yields fresh IDs and the abandoned grant merely leaks
-/// server-side — leak-not-duplicate, pinned by the global audit.
-struct ResilientClient {
-    addr: SocketAddr,
-    space: IdSpace,
-    protocol: ProtoVersion,
-    policy: RetryPolicy,
-    client: Option<DialedClient>,
-    ever_connected: bool,
-    faults: FaultCounters,
-}
-
-impl ResilientClient {
-    fn new(addr: SocketAddr, space: IdSpace, protocol: ProtoVersion, policy: RetryPolicy) -> Self {
-        ResilientClient {
-            addr,
-            space,
-            protocol,
-            policy,
-            client: None,
-            ever_connected: false,
-            faults: FaultCounters::default(),
-        }
-    }
-
-    fn client(&mut self) -> io::Result<&mut DialedClient> {
-        if self.client.is_none() {
-            let dialed = DialedClient::connect_with(
-                self.addr,
-                self.space,
-                self.protocol,
-                Some(CHAOS_TIMEOUT),
-            )?;
-            if self.ever_connected {
-                self.faults.reconnects += 1;
-            }
-            self.ever_connected = true;
-            self.client = Some(dialed);
-        }
-        Ok(self.client.as_mut().expect("just dialed"))
-    }
-
-    /// Runs `f` against a live connection, retrying per the policy.
-    /// Returns `None` when the retry budget is exhausted (the request
-    /// is abandoned and counted against the error budget).
-    fn attempt<T>(&mut self, f: impl Fn(&mut DialedClient) -> io::Result<T>) -> Option<T> {
-        for attempt in 0.. {
-            let result = self.client().and_then(&f);
-            match result {
-                Ok(v) => return Some(v),
-                Err(e) => {
-                    self.faults.observe(&e);
-                    // Any failure poisons the connection (a timed-out
-                    // request's late reply must never be read as the
-                    // next request's answer): replace it.
-                    self.client = None;
-                    if self.policy.allows(attempt) {
-                        self.faults.retries += 1;
-                        std::thread::sleep(self.policy.delay(attempt));
-                    } else {
-                        self.faults.exhausted += 1;
-                        return None;
-                    }
-                }
-            }
-        }
-        unreachable!("the retry loop returns from within")
-    }
-}
-
-/// A resilient pool worker: like [`conn_worker`], but failures are
-/// classified, retried, and counted instead of panicking. Hands its
-/// fault ledger and worst-lease samples back when the queue closes.
-/// Latency here is measured around the whole attempt — retries and
-/// backoff included — because that is what the caller experienced.
-fn resilient_conn_worker(
-    mut client: ResilientClient,
-    rx: Receiver<PoolMsg>,
-) -> (FaultCounters, TailSampler) {
-    let mut tail = TailSampler::new(TAIL_SAMPLES, 0);
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            PoolMsg::Lease {
-                tenant,
-                count,
-                reply,
-            } => {
-                let started = clock::monotonic_ns();
-                let arcs = match client.attempt(|c| c.lease_with_corr(tenant, count)) {
-                    Some((lease, corr)) => {
-                        tail.offer(corr, tenant, 0, elapsed_ns(started));
-                        lease.arcs
-                    }
-                    None => Vec::new(),
-                };
-                let _ = reply.send(arcs);
-            }
-            PoolMsg::Issue { tenant, count } => {
-                let started = clock::monotonic_ns();
-                if let Some((_, corr)) = client.attempt(|c| c.lease_with_corr(tenant, count)) {
-                    tail.offer(corr, tenant, 0, elapsed_ns(started));
-                }
-            }
-            PoolMsg::Barrier { done } => {
-                let _ = done.send(());
-            }
-            PoolMsg::Drain { done } => {
-                let _ = client.attempt(|c| c.drain());
-                let _ = done.send(());
-            }
-        }
-    }
-    (client.faults, tail)
-}
-
-/// The chaos socket target: a pool of [`ResilientClient`] workers
-/// talking through a shared [`ChaosProxy`]. Unlike
-/// [`PooledRemoteTarget`], every worker owns an independent connection
-/// even under protocol v2 — a severed mux must not take the whole pool
-/// down with it.
-pub struct ChaosRemoteTarget {
-    space: IdSpace,
-    protocol: ProtoVersion,
-    proxy: SyncArc<ChaosProxy>,
-    txs: Vec<SyncSender<PoolMsg>>,
-    workers: Vec<JoinHandle<(FaultCounters, TailSampler)>>,
-}
-
-impl ChaosRemoteTarget {
-    /// Starts `workers ≥ 1` resilient workers dialing through `proxy`.
-    /// Connections are lazy — the first request dials (and the dial
-    /// itself is inside the retry loop, so a refused connection window
-    /// is survivable).
-    pub fn connect(
-        proxy: SyncArc<ChaosProxy>,
-        space: IdSpace,
-        workers: usize,
-        protocol: ProtoVersion,
-        policy: RetryPolicy,
-    ) -> ChaosRemoteTarget {
-        let workers = workers.max(1);
-        let mut txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for worker in 0..workers {
-            // Distinct jitter streams per worker, still seed-determined.
-            let policy = RetryPolicy {
-                seed: policy.seed ^ (worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ..policy
-            };
-            let client = ResilientClient::new(proxy.addr(), space, protocol, policy);
-            let (tx, rx) = sync_channel::<PoolMsg>(1024);
-            txs.push(tx);
-            handles.push(std::thread::spawn(move || {
-                resilient_conn_worker(client, rx)
-            }));
-        }
-        ChaosRemoteTarget {
-            space,
-            protocol,
-            proxy,
-            txs,
-            workers: handles,
-        }
-    }
-
-    fn tx_of(&self, tenant: u64) -> &SyncSender<PoolMsg> {
-        &self.txs[(tenant % self.txs.len() as u64) as usize]
-    }
-}
-
-impl StressTarget for ChaosRemoteTarget {
-    fn space(&self) -> IdSpace {
-        self.space
-    }
-
-    fn lease_arcs(&mut self, tenant: u64, count: u128) -> Vec<Arc> {
-        let (reply, rx) = sync_channel(1);
-        self.tx_of(tenant)
-            .send(PoolMsg::Lease {
-                tenant,
-                count,
-                reply,
-            })
-            .expect("chaos pool worker alive");
-        rx.recv().expect("chaos pool worker replies")
-    }
-
-    fn issue(&mut self, tenant: u64, count: u128) {
-        self.tx_of(tenant)
-            .send(PoolMsg::Issue { tenant, count })
-            .expect("chaos pool worker alive");
-    }
-
-    fn drain(&mut self) {
-        let barriers: Vec<Receiver<()>> = self
-            .txs
-            .iter()
-            .map(|tx| {
-                let (done, rx) = sync_channel(1);
-                tx.send(PoolMsg::Barrier { done })
-                    .expect("chaos pool worker alive");
-                rx
-            })
-            .collect();
-        for rx in barriers {
-            rx.recv().expect("chaos pool worker alive");
+            rx.recv().expect("stress worker alive");
         }
         let (done, rx) = sync_channel(1);
-        self.txs[0]
-            .send(PoolMsg::Drain { done })
-            .expect("chaos pool worker alive");
-        rx.recv().expect("chaos pool worker drains");
+        self.send(0, WorkerMsg::Drain { done });
+        rx.recv().expect("stress worker drains");
     }
 
-    fn finish(self) -> TargetReport {
+    fn finish(self) -> io::Result<TargetReport> {
         // The report must survive the chaos that produced it: flip the
         // proxy to passthrough so the shutdown travels a clean path
         // (new connections are unscheduled from here on).
-        self.proxy.set_passthrough(true);
+        if let Some(proxy) = &self.proxy {
+            proxy.set_passthrough(true);
+        }
         drop(self.txs); // workers exit and hand back their ledgers
         let mut faults = FaultCounters::default();
         let mut tail = TailSampler::new(TAIL_SAMPLES, 0);
         for handle in self.workers {
-            let (worker_faults, worker_tail) = handle.join().expect("chaos pool worker panicked");
+            let (worker_faults, worker_tail) = handle.join().expect("stress worker panicked");
             faults.merge(&worker_faults);
             tail.merge(&worker_tail);
         }
-        let mut last_err: Option<io::Error> = None;
-        for _ in 0..10 {
-            let attempt = DialedClient::connect_with(
-                self.proxy.addr(),
-                self.space,
-                self.protocol,
-                Some(CHAOS_TIMEOUT),
-            )
-            .and_then(|mut client| {
-                // The proxy is passthrough now, so the timeline fetches
-                // ride the same clean path as the shutdown.
-                fetch_timelines(&mut client, &mut tail);
-                client.shutdown()
-            });
-            match attempt {
-                Ok(summary) => {
-                    let mut report = TargetReport::from(summary);
-                    report.faults = faults;
-                    report.slow = tail.worst().to_vec();
-                    return report;
-                }
-                Err(e) => {
-                    last_err = Some(e);
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            }
-        }
-        panic!(
-            "shutdown over a passthrough proxy kept failing: {:?}",
-            last_err
-        );
+        // The closing dial fetches the sampled timelines, then shuts the
+        // server down. A few fixed-delay tries ride out a proxy that is
+        // still tearing down scheduled connections.
+        let closing = RetryPolicy {
+            max_retries: 9,
+            base: Duration::from_millis(20),
+            max: Duration::from_millis(20),
+            jitter_per_mille: 0,
+            seed: 0,
+        };
+        let mut closer = ResilientClient::new(self.addr, self.space, self.options, closing);
+        let summary = closer.attempt(|client| {
+            fetch_timelines(client, &mut tail);
+            client.clone().shutdown()
+        })?;
+        let mut report = TargetReport::from(summary);
+        report.faults = faults;
+        report.slow = tail.worst().to_vec();
+        Ok(report)
     }
 }
 
@@ -981,7 +723,7 @@ pub struct StressReport {
     /// registry families (only for `scrape`-enabled remote runs).
     pub metrics: Option<MetricsReport>,
     /// The worst leases the run produced, with their end-to-end span
-    /// timelines when the target spoke protocol v2 (empty otherwise).
+    /// timelines (remote runs only; empty in process).
     pub slow: Vec<SlowLease>,
 }
 
@@ -1126,14 +868,14 @@ impl StressReport {
 /// Runs one stress phase against the in-process service.
 pub fn run_stress(config: StressConfig) -> StressReport {
     let target = LocalTarget::start(config.service.clone());
-    run_stress_with(target, config)
+    run_stress_with(target, config).expect("an in-process target always reports")
 }
 
 /// Runs one stress phase over a loopback TCP server: the service is
 /// fronted by a [`TcpServer`] on an ephemeral port and every request —
-/// including the shutdown that yields the report — travels through the
-/// [`RemoteClient`] socket path. With `remote_workers > 1` the client
-/// side is the persistent-connection pool ([`PooledRemoteTarget`]).
+/// including the shutdown that yields the report — travels through a
+/// [`RemoteTarget`] of `remote_workers` v2 connections. A run without
+/// chaos never retries, and any fault it observes makes this an `Err`.
 pub fn run_stress_remote(config: StressConfig) -> io::Result<StressReport> {
     let server = TcpServer::bind_with(
         "127.0.0.1:0",
@@ -1150,70 +892,74 @@ pub fn run_stress_remote(config: StressConfig) -> io::Result<StressReport> {
     let scraper = config
         .scrape
         .then(|| spawn_wire_scraper(server.local_addr(), config.service.space));
-    let finish_metrics = |scraper: Option<JoinHandle<(u64, TimeSeries)>>| {
-        scraper.map(|handle| {
-            let (scrapes, series) = handle.join().expect("wire scraper panicked");
-            MetricsReport {
-                scrapes,
-                windows: series.len() as u64,
-                peak_ids_per_window: series
-                    .windows()
-                    .map(|w| w.counter("uuidp_ids_issued_total"))
-                    .max()
-                    .unwrap_or(0),
-                families: uuidp_obs::parse_exposition(&registry.snapshot().render_prometheus()),
-            }
-        })
-    };
-    if let Some(spec) = config.chaos {
-        let seed = config.chaos_seed;
-        let proxy = SyncArc::new(ChaosProxy::launch(server.local_addr(), spec, seed)?);
-        // Mirror every injected fault into the node's own registry, so
-        // the scrape shows ground truth next to the service's counters.
-        proxy.attach_obs(&registry, server.trace());
-        let target = ChaosRemoteTarget::connect(
-            SyncArc::clone(&proxy),
-            config.service.space,
-            config.remote_workers,
-            config.protocol,
-            RetryPolicy {
-                seed,
+    let (proxy, policy) = match config.chaos {
+        Some(spec) => {
+            let proxy = ChaosProxy::launch(server.local_addr(), spec, config.chaos_seed)?;
+            // Mirror every injected fault into the node's own registry,
+            // so the scrape shows ground truth next to the service's
+            // counters.
+            proxy.attach_obs(&registry, server.trace());
+            let policy = RetryPolicy {
+                seed: config.chaos_seed,
                 ..RetryPolicy::default()
-            },
-        );
-        let mut report = run_stress_with(target, config);
+            };
+            (Some(SyncArc::new(proxy)), policy)
+        }
+        None => (None, RetryPolicy::none()),
+    };
+    let target = RemoteTarget::start(
+        server.local_addr(),
+        config.service.space,
+        config.remote_workers,
+        policy,
+        proxy.clone(),
+    );
+    let chaos = config.chaos.map(|spec| (spec, config.chaos_seed));
+    let run = run_stress_with(target, config);
+    // A failed closing shutdown leaves the server up: halt it, which
+    // also ends the scrape sidecar.
+    let _ = match run {
+        Ok(_) => server.join(),
+        Err(_) => server.halt(),
+    };
+    let metrics = scraper.map(|handle| {
+        let (scrapes, series) = handle.join().expect("wire scraper panicked");
+        MetricsReport {
+            scrapes,
+            windows: series.len() as u64,
+            peak_ids_per_window: series
+                .windows()
+                .map(|w| w.counter("uuidp_ids_issued_total"))
+                .max()
+                .unwrap_or(0),
+            families: uuidp_obs::parse_exposition(&registry.snapshot().render_prometheus()),
+        }
+    });
+    let mut report = run?;
+    report.metrics = metrics;
+    if let (Some((spec, seed)), Some(proxy)) = (chaos, proxy) {
         report.chaos = Some(ChaosReport {
             spec,
             seed,
             fingerprint: schedule_fingerprint(&spec, seed, FINGERPRINT_CONNS),
             injected: proxy.counts(),
         });
-        report.metrics = finish_metrics(scraper);
-        let _ = server.join();
-        return Ok(report);
+    } else if report.faults.failed_attempts() > 0 {
+        return Err(io::Error::other(format!(
+            "{} failed request attempts on a clean loopback run: {:?}",
+            report.faults.failed_attempts(),
+            report.faults
+        )));
     }
-    let mut report = if config.remote_workers > 1 {
-        let target = PooledRemoteTarget::connect(
-            server.local_addr(),
-            config.service.space,
-            config.remote_workers,
-            config.protocol,
-        )?;
-        run_stress_with(target, config)
-    } else {
-        let target =
-            RemoteTarget::connect(server.local_addr(), config.service.space, config.protocol)?;
-        run_stress_with(target, config)
-    };
-    report.metrics = finish_metrics(scraper);
-    // Join the server threads; the driver-side report already carries
-    // the (identical) totals parsed off the wire.
-    let _ = server.join();
     Ok(report)
 }
 
-/// Runs one stress phase against any [`StressTarget`].
-pub fn run_stress_with<T: StressTarget>(mut target: T, config: StressConfig) -> StressReport {
+/// Runs one stress phase against any [`StressTarget`]. Errs only when
+/// the target cannot deliver its final accounting.
+pub fn run_stress_with<T: StressTarget>(
+    mut target: T,
+    config: StressConfig,
+) -> io::Result<StressReport> {
     let mix = config.mix;
     let shards = config.service.shards;
     let started = clock::monotonic_ns();
@@ -1225,9 +971,9 @@ pub fn run_stress_with<T: StressTarget>(mut target: T, config: StressConfig) -> 
     };
     target.drain();
     let elapsed = Duration::from_nanos(elapsed_ns(started));
-    let report = target.finish();
+    let report = target.finish()?;
     let ids_per_sec = report.issued_ids as f64 / elapsed.as_secs_f64().max(1e-9);
-    StressReport {
+    Ok(StressReport {
         mix,
         shards,
         requests: submitted,
@@ -1244,7 +990,7 @@ pub fn run_stress_with<T: StressTarget>(mut target: T, config: StressConfig) -> 
         audit: report.audit,
         metrics: None,
         slow: report.slow,
-    }
+    })
 }
 
 fn drive_uniform<T: StressTarget>(target: &mut T, cfg: &StressConfig) -> u64 {
@@ -1438,8 +1184,8 @@ mod tests {
     #[test]
     fn v2_transport_reproduces_in_process_totals_single_and_pooled() {
         // The protocol-v2 differential: the binary framed transport —
-        // single multiplexed connection or a pool of clones of one —
-        // must reproduce the in-process audit totals bit-exactly.
+        // one connection or a pool of them — must reproduce the
+        // in-process audit totals bit-exactly.
         let make = || {
             let mut cfg = base(AlgorithmKind::ClusterStar, 40);
             cfg.mix = TrafficMix::Skewed;
@@ -1451,7 +1197,6 @@ mod tests {
         assert!(local.audit.counts.collided(), "twins must collide");
         for workers in [1usize, 3] {
             let mut cfg = make();
-            cfg.protocol = ProtoVersion::V2;
             cfg.remote_workers = workers;
             let remote = run_stress_remote(cfg).expect("v2 loopback stress");
             assert_eq!(
@@ -1476,7 +1221,6 @@ mod tests {
         cfg.mix = TrafficMix::Hunter;
         cfg.tenants = 4;
         cfg.requests = 120;
-        cfg.protocol = ProtoVersion::V2;
         let report = run_stress_remote(cfg).expect("v2 hunter stress");
         assert!(report.requests >= 4, "probe phase never ran");
         assert_eq!(report.issued_ids, report.requests as u128);
@@ -1494,6 +1238,39 @@ mod tests {
         assert!(report.requests >= 4, "probe phase never ran");
         assert_eq!(report.issued_ids, report.requests as u128);
         assert_eq!(report.audit.counts.recorded_ids, report.issued_ids);
+    }
+
+    #[test]
+    fn clean_remote_run_fails_loudly_on_a_fault() {
+        // Without chaos nothing is retried: a node that dies mid-run
+        // (the halt hook kills it on its 3rd write-ahead persist) turns
+        // the whole run into an error, never a short report.
+        let dir = std::env::temp_dir().join(format!(
+            "uuidp-stress-test-{}-clean-fault",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = base(AlgorithmKind::Cluster, 40);
+        cfg.requests = 64;
+        cfg.remote_workers = 2;
+        cfg.service.durability = Some(crate::service::DurabilityConfig {
+            reservation: 64,
+            halt_after_persists: Some(3),
+            ..crate::service::DurabilityConfig::new(&dir)
+        });
+        let err = run_stress_remote(cfg).expect_err("a faulted clean run must fail");
+        assert!(!err.to_string().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+        // A fault that leaves the server up: a Random lease too
+        // fragmented for one reply frame comes back as a typed error,
+        // the shutdown still succeeds, and the fault count alone must
+        // fail the run.
+        let mut cfg = base(AlgorithmKind::Random, 24);
+        cfg.tenants = 1;
+        cfg.requests = 1;
+        cfg.count = 530_000;
+        let err = run_stress_remote(cfg).expect_err("a faulted clean run must fail");
+        assert!(err.to_string().contains("failed request attempts"), "{err}");
     }
 
     #[test]
@@ -1529,7 +1306,6 @@ mod tests {
         let mut cfg = base(AlgorithmKind::Cluster, 48);
         cfg.requests = 300;
         cfg.remote_workers = 3;
-        cfg.protocol = ProtoVersion::V2;
         cfg.chaos = Some(ChaosSpec::heavy());
         cfg.chaos_seed = 0xC4A05;
         let report = run_stress_remote(cfg).expect("chaos stress run");
@@ -1594,7 +1370,6 @@ mod tests {
         let mut cfg = base(AlgorithmKind::Cluster, 48);
         cfg.requests = 200;
         cfg.remote_workers = 3;
-        cfg.protocol = ProtoVersion::V2;
         cfg.chaos = Some(ChaosSpec::heavy());
         cfg.chaos_seed = 0xB0B0;
         cfg.scrape = true;
@@ -1622,7 +1397,6 @@ mod tests {
             let mut cfg = base(AlgorithmKind::Cluster, 48);
             cfg.requests = 60;
             cfg.remote_workers = 2;
-            cfg.protocol = ProtoVersion::V2;
             cfg.chaos = Some(ChaosSpec::small());
             cfg.chaos_seed = seed;
             run_stress_remote(cfg)

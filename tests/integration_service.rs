@@ -160,7 +160,7 @@ fn remote_stress_reproduces_in_process_audit_totals() {
 proptest! {
     // Remote runs are whole client/server lifecycles, so a handful of
     // random scenarios is the budget; each one sweeps the full
-    // {v1, v2} × {shards, audit_threads} grid.
+    // {shards} × {audit_threads} grid over protocol v2.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
@@ -169,37 +169,33 @@ proptest! {
         tenants in 3u64..7,
         count in 8u128..48,
     ) {
-        use uuidp::client::ProtoVersion;
         let mut reference: Option<(u64, u128, u64, u128, u128, u64)> = None;
-        for proto in [ProtoVersion::V1, ProtoVersion::V2] {
-            for &shards in &[1usize, 3] {
-                for &audit_threads in &[1usize, 4] {
-                    let mut service = ServiceConfig::new(
-                        AlgorithmKind::ClusterStar,
-                        IdSpace::with_bits(40).unwrap(),
-                    );
-                    service.shards = shards;
-                    service.audit_threads = audit_threads;
-                    service.master_seed = seed;
-                    // Twins keep the duplicate counter non-trivial.
-                    service.seed_alias = Some((0, tenants - 1));
-                    let mut cfg = StressConfig::new(service, tenants, 120, count);
-                    cfg.mix = TrafficMix::Skewed;
-                    cfg.protocol = proto;
-                    let report = run_stress_remote(cfg).expect("loopback stress");
-                    prop_assert!(
-                        report.audit.counts.duplicate_ids > 0,
-                        "twins must collide"
-                    );
-                    let got = invariant_totals(&report);
-                    match &reference {
-                        None => reference = Some(got),
-                        Some(r) => prop_assert_eq!(
-                            *r, got,
-                            "{} x {} shards x {} audit threads diverged",
-                            proto, shards, audit_threads
-                        ),
-                    }
+        for &shards in &[1usize, 3] {
+            for &audit_threads in &[1usize, 4] {
+                let mut service = ServiceConfig::new(
+                    AlgorithmKind::ClusterStar,
+                    IdSpace::with_bits(40).unwrap(),
+                );
+                service.shards = shards;
+                service.audit_threads = audit_threads;
+                service.master_seed = seed;
+                // Twins keep the duplicate counter non-trivial.
+                service.seed_alias = Some((0, tenants - 1));
+                let mut cfg = StressConfig::new(service, tenants, 120, count);
+                cfg.mix = TrafficMix::Skewed;
+                let report = run_stress_remote(cfg).expect("loopback stress");
+                prop_assert!(
+                    report.audit.counts.duplicate_ids > 0,
+                    "twins must collide"
+                );
+                let got = invariant_totals(&report);
+                match &reference {
+                    None => reference = Some(got),
+                    Some(r) => prop_assert_eq!(
+                        *r, got,
+                        "{} shards x {} audit threads diverged",
+                        shards, audit_threads
+                    ),
                 }
             }
         }
@@ -230,7 +226,8 @@ fn idle_v2_connections_cost_near_zero_wakeups() {
     // (b) leave every connection fully alive afterwards.
     use std::net::TcpStream;
     use uuidp::client::frame::{self, FrameBody};
-    use uuidp::service::net::{RemoteClient, TcpServer};
+    use uuidp::client::Client;
+    use uuidp::service::net::TcpServer;
 
     let space = IdSpace::with_bits(40).unwrap();
     let config = ServiceConfig::new(AlgorithmKind::Cluster, space);
@@ -292,7 +289,7 @@ fn idle_v2_connections_cost_near_zero_wakeups() {
     }
     drop(conns);
 
-    let ctl = RemoteClient::connect(server.local_addr(), space).unwrap();
+    let ctl = Client::connect(server.local_addr(), space).unwrap();
     let summary = ctl.shutdown().unwrap();
     assert_eq!(summary.issued_ids, 256);
     server.join().unwrap();

@@ -1,14 +1,13 @@
-//! Protocol robustness, both wire generations:
+//! Protocol robustness:
 //!
-//! * the v1 `uuidp_service::protocol` parsers — the server's command
-//!   parser and the client's reply parsers — must return typed errors,
-//!   never panic, on arbitrary byte soup and on systematically garbled
-//!   (truncated / bit-flipped) versions of every valid line, and valid
-//!   lines must round-trip exactly;
+//! * the `uuidp serve` stdin grammar (`uuidp_service::protocol`) must
+//!   return typed errors, never panic, on arbitrary byte soup and on
+//!   systematically garbled (truncated / bit-flipped) versions of valid
+//!   lines, and valid command lines must round-trip exactly;
 //! * the v2 `uuidp_client::frame` codec must round-trip every frame
-//!   bit-exactly, report prefixes as incomplete, and reject byte soup,
-//!   truncations, and bit flips with typed errors — never a panic and
-//!   never a silent wrong decode.
+//!   bit-exactly (service summaries included), report prefixes as
+//!   incomplete, and reject byte soup, truncations, and bit flips with
+//!   typed errors — never a panic and never a silent wrong decode.
 
 use proptest::prelude::*;
 
@@ -19,9 +18,7 @@ use uuidp::client::{Client, ClientOptions, Summary};
 use uuidp::core::id::{Id, IdSpace};
 use uuidp::core::interval::Arc;
 use uuidp::service::metrics::LatencyHistogram;
-use uuidp::service::protocol::{
-    parse_lease_line, parse_summary, render_lease, render_summary, Command,
-};
+use uuidp::service::protocol::{render_lease, wire_summary, Command};
 use uuidp::service::service::{AuditReport, LeaseReply, ServiceReport};
 use uuidp::sim::audit::AuditCounts;
 
@@ -29,15 +26,13 @@ fn space() -> IdSpace {
     IdSpace::with_bits(20).unwrap()
 }
 
-/// Feeds one line to every parser; the only acceptable outcomes are
-/// `Ok`/`Err` — a panic fails the test by unwinding.
+/// Feeds one line to the grammar's parser; the only acceptable outcomes
+/// are `Ok`/`Err` — a panic fails the test by unwinding.
 fn all_parsers_survive(line: &str) {
     let _ = Command::parse(line);
-    let _ = parse_lease_line(line, space());
-    let _ = parse_summary(line);
 }
 
-/// A syntactically valid lease reply built from fuzzed fields.
+/// A lease reply line as `uuidp serve` prints it, from fuzzed fields.
 fn lease_line(tenant: u64, granted: u128, arcs: &[(u128, u128)]) -> String {
     let s = space();
     render_lease(&LeaseReply {
@@ -52,11 +47,11 @@ fn lease_line(tenant: u64, granted: u128, arcs: &[(u128, u128)]) -> String {
     })
 }
 
-/// A syntactically valid shutdown summary built from fuzzed counters.
-fn summary_line(issued: u128, leases: u64, dup: u128, lag: u64) -> String {
+/// A service report built from fuzzed counters.
+fn report(issued: u128, leases: u64, dup: u128, lag: u64) -> ServiceReport {
     let mut latency = LatencyHistogram::new();
     latency.record_ns(lag.max(1));
-    render_summary(&ServiceReport {
+    ServiceReport {
         issued_ids: issued,
         leases,
         errors: leases / 7,
@@ -74,7 +69,7 @@ fn summary_line(issued: u128, leases: u64, dup: u128, lag: u64) -> String {
             per_thread: vec![],
         },
         uptime: std::time::Duration::from_millis(5),
-    })
+    }
 }
 
 proptest! {
@@ -89,9 +84,9 @@ proptest! {
         let raw: Vec<u8> = bytes.iter().flat_map(|w| w.to_le_bytes()).collect();
         let line = String::from_utf8_lossy(&raw);
         all_parsers_survive(&line);
-        // Also with the grammar's own framing glued on.
+        // Also with the grammar's own keywords glued on.
         all_parsers_survive(&format!("lease {line}"));
-        all_parsers_survive(&format!("bye {line}"));
+        all_parsers_survive(&format!("reset {line}"));
         all_parsers_survive(&format!("lease tenant=1 granted=5 arcs={line}"));
     }
 
@@ -102,15 +97,14 @@ proptest! {
         len_raw in any::<u128>(),
         cut_raw in any::<u64>(),
         flip_raw in any::<u64>(),
-        issued in any::<u128>(),
-        lag in any::<u64>(),
     ) {
         let len = 1 + len_raw % (1 << 10);
         let wrapped_start = (1 << 20) - 1; // wrap-around arc, too
         for line in [
+            format!("lease {tenant} {len}"),
+            format!("reset {tenant}"),
             lease_line(tenant, len, &[(start, len)]),
             lease_line(tenant, len + 2, &[(start, len), (wrapped_start, 2)]),
-            summary_line(issued, (issued % 10_000) as u64, issued / 3, lag),
         ] {
             // Truncation at every fuzzed cut point (on a char boundary).
             let cut = (cut_raw as usize) % (line.len() + 1);
@@ -127,16 +121,17 @@ proptest! {
     #[test]
     fn valid_lease_lines_round_trip_exactly(
         tenant in any::<u64>(),
-        arcs in prop::collection::vec((0u128..(1 << 20), 1u128..(1 << 12)), 0..6),
+        count in any::<u128>(),
+        short in any::<bool>(),
     ) {
-        let line = lease_line(tenant, arcs.iter().map(|a| a.1).sum(), &arcs);
-        let wire = parse_lease_line(&line, space()).expect("valid line must parse");
-        prop_assert_eq!(wire.tenant, tenant);
-        prop_assert_eq!(wire.arcs.len(), arcs.len());
-        for (parsed, &(start, len)) in wire.arcs.iter().zip(&arcs) {
-            prop_assert_eq!(parsed.start.value(), start);
-            prop_assert_eq!(parsed.len, len);
-        }
+        // Both spellings of the grammar's lease command.
+        let line = if short {
+            format!("{tenant} {count}")
+        } else {
+            format!("lease {tenant} {count}")
+        };
+        let parsed = Command::parse(&line).expect("valid line must parse");
+        prop_assert_eq!(parsed, Some(Command::Lease { tenant, count }));
     }
 
     #[test]
@@ -146,8 +141,16 @@ proptest! {
         dup in any::<u128>(),
         lag in any::<u64>(),
     ) {
-        let line = summary_line(issued, leases, dup, lag);
-        let wire = parse_summary(&line).expect("valid summary must parse");
+        // Projected once, carried through a v2 summary frame.
+        let summary = wire_summary(&report(issued, leases, dup, lag));
+        let bytes = encode_frame(1, &FrameBody::SummaryResp(summary));
+        let (frame, used) = decode_frame(&bytes)
+            .expect("valid summary must decode")
+            .expect("a whole frame");
+        prop_assert_eq!(used, bytes.len());
+        let FrameBody::SummaryResp(wire) = frame.body else {
+            panic!("expected a summary frame");
+        };
         prop_assert_eq!(wire.issued_ids, issued);
         prop_assert_eq!(wire.leases, leases);
         prop_assert_eq!(wire.duplicate_ids, dup);
@@ -397,7 +400,8 @@ proptest! {
     }
 }
 
-/// The classic attack lines, pinned explicitly (no randomness).
+/// The classic attack lines, pinned explicitly (no randomness): every
+/// one must be a typed parse error of the stdin grammar.
 #[test]
 fn hostile_classics_get_typed_errors() {
     for line in [
@@ -405,22 +409,20 @@ fn hostile_classics_get_typed_errors() {
         "lease 1",                            // still missing
         "lease 99999999999999999999999999 5", // u64 overflow
         "reset -3",                           // sign
-        "lease tenant=1 granted=x arcs=",     // non-numeric reply
+        "lease tenant=1 granted=x arcs=",     // a reply line is no command
         "lease tenant=1 granted=5 arcs=1+",   // dangling arc
         "lease tenant=1 granted=5 arcs=+5",   // dangling start
         "lease tenant=1 granted=5 arcs=0+0",  // empty arc
         "lease tenant=1 granted=5 arcs=9999999999999999999999999999999999999999+1",
-        "bye",                   // summary with nothing
-        "bye issued=1 leases=2", // summary too short
+        "bye",                   // unknown verb
+        "bye issued=1 leases=2", // unknown verb with fields
         "bye issued=1 bogus=7",  // unknown field
         "shutdown now please",   // trailing junk
     ] {
         all_parsers_survive(line);
         assert!(
-            Command::parse(line).is_err()
-                || parse_lease_line(line, space()).is_err()
-                || parse_summary(line).is_err(),
-            "`{line}` should fail at least one parser"
+            Command::parse(line).is_err(),
+            "`{line}` should be a parse error"
         );
     }
 }
